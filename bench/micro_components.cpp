@@ -2,7 +2,8 @@
 //
 // google-benchmark microbenchmarks of the pipeline stages: lexing, parsing,
 // points-to solving, propagation-graph construction, constraint
-// generation, one optimizer iteration, and taint analysis. These quantify
+// generation, one solver iteration (production kernel and legacy
+// reference), and taint analysis. These quantify
 // where the per-file cost of Fig. 10's linear scaling goes.
 //
 //===----------------------------------------------------------------------===//
@@ -126,22 +127,8 @@ void BM_ConstraintGen(benchmark::State &State) {
 }
 BENCHMARK(BM_ConstraintGen);
 
-void BM_AdamIteration(benchmark::State &State) {
-  BackendState &B = BackendState::get();
-  solver::Objective Obj = B.System.makeObjective(0.1);
-  std::vector<double> X = Obj.initialPoint();
-  std::vector<double> Grad;
-  for (auto _ : State) {
-    Obj.gradient(X, Grad);
-    benchmark::DoNotOptimize(Grad.data());
-  }
-  State.SetItemsProcessed(static_cast<int64_t>(State.iterations()) *
-                          static_cast<int64_t>(Obj.numConstraints()));
-}
-BENCHMARK(BM_AdamIteration);
-
-// The legacy solve step as the optimizer actually runs it: one gradient
-// sweep plus one value sweep per iteration. Baseline for the fused kernel.
+// The legacy reference evaluator as the optimizer runs it: one gradient
+// sweep plus one value sweep per iteration. Baseline for the kernel below.
 void BM_SolveIterationLegacy(benchmark::State &State) {
   BackendState &B = BackendState::get();
   solver::Objective Obj = B.System.makeObjective(0.1);
@@ -150,18 +137,18 @@ void BM_SolveIterationLegacy(benchmark::State &State) {
   for (auto _ : State)
     benchmark::DoNotOptimize(Obj.valueAndGradient(X, Grad));
   // items = source constraints swept, so items/sec compares directly
-  // against the compiled kernel's row throughput.
+  // against the kernel's row throughput.
   State.SetItemsProcessed(static_cast<int64_t>(State.iterations()) *
                           static_cast<int64_t>(Obj.numConstraints()));
   State.counters["sweeps_per_iter"] = 2;
 }
 BENCHMARK(BM_SolveIterationLegacy);
 
-// The compiled solve step: a single fused sweep over the coalesced CSR
+// The production solve step: one blocked SIMD sweep over the coalesced
 // rows yields both the value and the gradient.
-void BM_SolveIterationCompiled(benchmark::State &State) {
+void BM_SolveIteration(benchmark::State &State) {
   BackendState &B = BackendState::get();
-  solver::CompiledObjective Obj = B.System.makeCompiledObjective(0.1);
+  solver::SimdObjective Obj = B.System.makeSimdObjective(0.1);
   std::vector<double> X = Obj.initialPoint();
   std::vector<double> Grad;
   for (auto _ : State)
@@ -172,15 +159,17 @@ void BM_SolveIterationCompiled(benchmark::State &State) {
   State.counters["rows"] = static_cast<double>(Obj.numRows());
   State.counters["nnz"] = static_cast<double>(Obj.numNonZeros());
   State.counters["dedup_ratio"] = Obj.stats().dedupRatio();
+  State.counters["simd_tier"] = static_cast<double>(Obj.tier());
 }
-BENCHMARK(BM_SolveIterationCompiled);
+BENCHMARK(BM_SolveIteration);
 
-// The compilation pass itself (canonicalize + coalesce + CSR layout);
-// runs once per solve, so it must stay negligible next to the sweeps.
+// The compilation pass itself (canonicalize + coalesce + CSR + blocked
+// layout); runs once per solve, so it must stay negligible next to the
+// sweeps.
 void BM_ConstraintCompile(benchmark::State &State) {
   BackendState &B = BackendState::get();
   for (auto _ : State)
-    benchmark::DoNotOptimize(B.System.makeCompiledObjective(0.1));
+    benchmark::DoNotOptimize(B.System.makeSimdObjective(0.1));
   State.SetItemsProcessed(static_cast<int64_t>(State.iterations()) *
                           static_cast<int64_t>(B.System.Constraints.size()));
 }

@@ -1,14 +1,13 @@
-//===- bench/solver_kernel.cpp - Solver backend bench ---------------------===//
+//===- bench/solver_kernel.cpp - Solver kernel bench ----------------------===//
 //
-// Times the solve stage on the Fig. 10 corpus across the solver backends
-// (legacy Objective, compiled fused kernel, blocked-SIMD fp64, and the
-// fp32-compute SIMD variant), each at Jobs=1 and at SELDON_JOBS threads,
-// and verifies the equivalence contracts: legacy/compiled/simd runs emit
-// byte-identical learned specifications, and simd-f32 selects the same
-// role set within its documented score tolerance. Emits a JSON summary to
-// stdout (scripts/bench_solver.sh redirects it into BENCH_solver.json)
-// and a human-readable table to stderr. Exits non-zero if any contract is
-// violated.
+// Times the solve stage on the Fig. 10 corpus: the production kernel
+// (Session::solve, which evaluates on the blocked SimdObjective) against
+// the legacy reference Objective driven by the same Adam loop, each at
+// Jobs=1 and at SELDON_JOBS threads. Verifies the equivalence contract:
+// all four runs emit byte-identical learned specifications. Emits a JSON
+// summary to stdout (scripts/bench_solver.sh redirects it into
+// BENCH_solver.json) and a human-readable table to stderr. Exits non-zero
+// if the contract is violated.
 //
 //===----------------------------------------------------------------------===//
 
@@ -17,10 +16,10 @@
 #include "support/Metrics.h"
 #include "support/StrUtil.h"
 #include "support/ThreadPool.h"
+#include "support/Trace.h"
 
-#include <algorithm>
-#include <cmath>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -29,63 +28,49 @@ using namespace seldon::eval;
 
 namespace {
 
-struct SolveRun {
-  infer::PipelineResult Result;
-  std::string Spec;
-};
-
-SolveRun solveWith(infer::Session &Session, solver::SolverBackend Backend,
-                   unsigned Jobs) {
-  Session.options().Solve.Backend = Backend;
-  Session.options().Jobs = Jobs;
-  SolveRun Run;
-  Run.Result = Session.solve();
-  Run.Spec = spec::writeLearnedSpec(Run.Result.Learned, ScoreThreshold);
-  return Run;
+std::string renderSpec(const infer::PipelineResult &R,
+                       const std::vector<double> &X) {
+  spec::LearnedSpec Learned;
+  const constraints::VarTable &Vars = R.System.Vars;
+  for (uint32_t V = 0; V < Vars.numVars(); ++V)
+    Learned.setScore(R.Reps.repString(Vars.repOf(V)), Vars.roleOf(V), X[V]);
+  return spec::writeLearnedSpec(Learned, ScoreThreshold);
 }
 
-/// The fp32 backend's equivalence contract (docs/architecture.md): its
-/// role selection may differ from the compiled backend only where the
-/// compiled score lies within this band of the report threshold. fp32
-/// rounding perturbs the optimizer trajectory, so scores that land close
-/// to the threshold can flip sides; scores outside the band must select
-/// identically.
-constexpr double F32ThresholdBand = 0.02;
+/// The production path: Session::solve, timed by its "session/solve"
+/// span. Returns the rendered spec.
+std::string solveKernel(infer::Session &Session, unsigned Jobs,
+                        infer::PipelineResult &Out) {
+  Session.options().Jobs = Jobs;
+  Out = Session.solve();
+  return spec::writeLearnedSpec(Out.Learned, ScoreThreshold);
+}
 
-struct F32Comparison {
-  bool WithinBand = true; ///< Every selection flip is inside the band.
-  size_t Flips = 0;       ///< (rep, role) pairs whose selection differs.
-  double WorstFlipDistance = 0.0; ///< Max |compiled score − threshold|
-                                  ///< over the flips.
-};
-
-F32Comparison compareF32Roles(const spec::LearnedSpec &Compiled,
-                              const spec::LearnedSpec &F32) {
-  F32Comparison Cmp;
-  auto Check = [&](double CompiledScore, double F32Score) {
-    if ((CompiledScore >= ScoreThreshold) == (F32Score >= ScoreThreshold))
-      return;
-    ++Cmp.Flips;
-    double Distance = std::fabs(CompiledScore - ScoreThreshold);
-    Cmp.WorstFlipDistance = std::max(Cmp.WorstFlipDistance, Distance);
-    if (Distance >= F32ThresholdBand)
-      Cmp.WithinBand = false;
-  };
-  for (const auto &[Rep, Scores] : Compiled.all()) {
-    auto It = F32.all().find(Rep);
-    for (size_t I = 0; I < propgraph::NumRoles; ++I)
-      Check(Scores[static_cast<Role>(I)],
-            It == F32.all().end() ? 0.0
-                                  : It->second[static_cast<Role>(I)]);
+/// The legacy oracle over the same system and optimizer settings, timed
+/// by an "oracle/solve" span (objective construction included, like the
+/// kernel's span includes compilation). Returns the rendered spec.
+std::string solveOracle(const infer::PipelineResult &R,
+                        const infer::PipelineOptions &Opts, unsigned Jobs) {
+  std::unique_ptr<ThreadPool> Pool;
+  if (Jobs > 1)
+    Pool = std::make_unique<ThreadPool>(Jobs);
+  solver::SolveResult Solve;
+  {
+    trace::Span Span(metrics::Registry::global(), "oracle/solve");
+    solver::Objective Obj = R.System.makeObjective(Opts.Lambda);
+    Obj.setThreadPool(Pool.get());
+    Solve = solver::AdamOptimizer(Opts.Solve).minimize(Obj);
   }
-  // Representations only the fp32 run scored (none in practice — both
-  // solve the same system — but the contract should not silently pass on
-  // asymmetric key sets).
-  for (const auto &[Rep, Scores] : F32.all())
-    if (Compiled.all().find(Rep) == Compiled.all().end())
-      for (size_t I = 0; I < propgraph::NumRoles; ++I)
-        Check(0.0, Scores[static_cast<Role>(I)]);
-  return Cmp;
+  return renderSpec(R, Solve.X);
+}
+
+std::vector<double> spanSeconds(const metrics::Registry &Reg,
+                                const std::string &Path) {
+  std::vector<double> Out;
+  for (const metrics::SpanRecord &Span : Reg.spans())
+    if (Span.Path == Path)
+      Out.push_back(Span.DurationSeconds);
+  return Out;
 }
 
 } // namespace
@@ -115,117 +100,55 @@ int main() {
 
   std::fprintf(stderr, "solver bench: %d project(s), %u parallel job(s)\n",
                NumProjects, Jobs);
-  using solver::SolverBackend;
-  SolveRun LegacySerial = solveWith(Session, SolverBackend::Legacy, 1);
-  SolveRun CompiledSerial = solveWith(Session, SolverBackend::Compiled, 1);
-  SolveRun SimdSerial = solveWith(Session, SolverBackend::Simd, 1);
-  SolveRun SimdF32Serial = solveWith(Session, SolverBackend::SimdF32, 1);
-  SolveRun LegacyParallel = solveWith(Session, SolverBackend::Legacy, Jobs);
-  SolveRun CompiledParallel =
-      solveWith(Session, SolverBackend::Compiled, Jobs);
-  SolveRun SimdParallel = solveWith(Session, SolverBackend::Simd, Jobs);
-  SolveRun SimdF32Parallel =
-      solveWith(Session, SolverBackend::SimdF32, Jobs);
+  infer::PipelineResult R;
+  std::string KernelSerial = solveKernel(Session, 1, R);
+  std::string KernelParallel = solveKernel(Session, Jobs, R);
+  std::string OracleSerial = solveOracle(R, PipelineOpts, 1);
+  std::string OracleParallel = solveOracle(R, PipelineOpts, Jobs);
 
-  bool Identical = LegacySerial.Spec == CompiledSerial.Spec &&
-                   LegacySerial.Spec == LegacyParallel.Spec &&
-                   LegacySerial.Spec == CompiledParallel.Spec;
-  // The fp64 SIMD backend promises byte-identical specs to the compiled
-  // kernel at any job count.
-  bool SimdIdentical = SimdSerial.Spec == CompiledSerial.Spec &&
-                       SimdParallel.Spec == CompiledSerial.Spec;
-  // The fp32 backend promises the same role selection outside the
-  // documented threshold band.
-  F32Comparison F32Serial =
-      compareF32Roles(CompiledSerial.Result.Learned,
-                      SimdF32Serial.Result.Learned);
-  F32Comparison F32Parallel =
-      compareF32Roles(CompiledSerial.Result.Learned,
-                      SimdF32Parallel.Result.Learned);
-  bool F32RolesMatch = F32Serial.WithinBand && F32Parallel.WithinBand;
-  size_t F32Flips = std::max(F32Serial.Flips, F32Parallel.Flips);
-  double F32WorstFlip =
-      std::max(F32Serial.WorstFlipDistance, F32Parallel.WorstFlipDistance);
+  bool Identical = KernelSerial == KernelParallel &&
+                   KernelSerial == OracleSerial &&
+                   KernelSerial == OracleParallel;
 
-  // Consume the metrics snapshot: the eight "session/solve" spans (one
-  // per run above, in order) are the timings reported below — the same
-  // values PipelineResult::SolveSeconds carries, read back through the
-  // registry to keep the bench on the shared instrumentation source.
-  std::vector<double> SolveSpanSeconds;
-  for (const metrics::SpanRecord &Span : Reg.spans())
-    if (Span.Path == "session/solve")
-      SolveSpanSeconds.push_back(Span.DurationSeconds);
-  if (SolveSpanSeconds.size() != 8) {
+  // Read the timings back through the registry to keep the bench on the
+  // shared instrumentation source.
+  std::vector<double> KernelSeconds = spanSeconds(Reg, "session/solve");
+  std::vector<double> OracleSeconds = spanSeconds(Reg, "oracle/solve");
+  if (KernelSeconds.size() != 2 || OracleSeconds.size() != 2) {
     std::fprintf(stderr,
-                 "error: expected 8 session/solve spans, found %zu\n",
-                 SolveSpanSeconds.size());
+                 "error: expected 2 session/solve and 2 oracle/solve "
+                 "spans, found %zu and %zu\n",
+                 KernelSeconds.size(), OracleSeconds.size());
     return 1;
   }
-  double LegacySerialSeconds = SolveSpanSeconds[0];
-  double CompiledSerialSeconds = SolveSpanSeconds[1];
-  double SimdSerialSeconds = SolveSpanSeconds[2];
-  double SimdF32SerialSeconds = SolveSpanSeconds[3];
-  double LegacyParallelSeconds = SolveSpanSeconds[4];
-  double CompiledParallelSeconds = SolveSpanSeconds[5];
-  double SimdParallelSeconds = SolveSpanSeconds[6];
-  double SimdF32ParallelSeconds = SolveSpanSeconds[7];
+  double KernelSerialSeconds = KernelSeconds[0];
+  double KernelParallelSeconds = KernelSeconds[1];
+  double LegacySerialSeconds = OracleSeconds[0];
+  double LegacyParallelSeconds = OracleSeconds[1];
 
-  const infer::PipelineResult &R = CompiledSerial.Result;
   const solver::CompileStats &S = R.SolverStats;
+  const char *Tier = solver::simdTierName(R.SolverTier);
   auto Speedup = [](double Base, double Fast) {
     return Fast > 0.0 ? Base / Fast : 0.0;
   };
-  double SerialSpeedup = Speedup(LegacySerialSeconds, CompiledSerialSeconds);
+  double SerialSpeedup = Speedup(LegacySerialSeconds, KernelSerialSeconds);
   double ParallelSpeedup =
-      Speedup(LegacyParallelSeconds, CompiledParallelSeconds);
-  // SIMD speedups are measured against the compiled kernel — that is the
-  // bar the vectorized layout has to clear, not the legacy evaluator.
-  double SimdSerialSpeedup =
-      Speedup(CompiledSerialSeconds, SimdSerialSeconds);
-  double SimdParallelSpeedup =
-      Speedup(CompiledParallelSeconds, SimdParallelSeconds);
-  double SimdF32SerialSpeedup =
-      Speedup(CompiledSerialSeconds, SimdF32SerialSeconds);
-  double SimdF32ParallelSpeedup =
-      Speedup(CompiledParallelSeconds, SimdF32ParallelSeconds);
-  bool SimdActive = SimdSerial.Result.SimdActive;
+      Speedup(LegacyParallelSeconds, KernelParallelSeconds);
 
   std::fprintf(stderr,
                "system: %zu constraints -> %zu rows (dedup %.2fx), "
                "%zu non-zeros, %d iterations\n",
                S.RowsBefore, S.RowsAfter, S.dedupRatio(), S.NonZeros,
                R.Solve.Iterations);
-  std::fprintf(stderr, "legacy   jobs=1: %.3fs   jobs=%u: %.3fs\n",
+  std::fprintf(stderr, "legacy oracle jobs=1: %.3fs   jobs=%u: %.3fs\n",
                LegacySerialSeconds, Jobs, LegacyParallelSeconds);
-  std::fprintf(stderr, "compiled jobs=1: %.3fs   jobs=%u: %.3fs\n",
-               CompiledSerialSeconds, Jobs, CompiledParallelSeconds);
-  std::fprintf(stderr, "simd     jobs=1: %.3fs   jobs=%u: %.3fs   (%s)\n",
-               SimdSerialSeconds, Jobs, SimdParallelSeconds,
-               SimdActive ? "avx2" : "scalar fallback");
-  std::fprintf(stderr, "simd-f32 jobs=1: %.3fs   jobs=%u: %.3fs\n",
-               SimdF32SerialSeconds, Jobs, SimdF32ParallelSeconds);
+  std::fprintf(stderr, "kernel (%s) jobs=1: %.3fs   jobs=%u: %.3fs\n", Tier,
+               KernelSerialSeconds, Jobs, KernelParallelSeconds);
   std::fprintf(stderr,
-               "speedup vs legacy   (compiled) jobs=1: %.2fx   jobs=%u: "
-               "%.2fx\n",
+               "speedup vs legacy jobs=1: %.2fx   jobs=%u: %.2fx\n",
                SerialSpeedup, Jobs, ParallelSpeedup);
-  std::fprintf(stderr,
-               "speedup vs compiled (simd)     jobs=1: %.2fx   jobs=%u: "
-               "%.2fx\n",
-               SimdSerialSpeedup, Jobs, SimdParallelSpeedup);
-  std::fprintf(stderr,
-               "speedup vs compiled (simd-f32) jobs=1: %.2fx   jobs=%u: "
-               "%.2fx\n",
-               SimdF32SerialSpeedup, Jobs, SimdF32ParallelSpeedup);
-  std::fprintf(stderr, "legacy/compiled specs byte-identical: %s\n",
+  std::fprintf(stderr, "kernel/legacy specs byte-identical: %s\n",
                Identical ? "yes" : "NO — EQUIVALENCE BUG");
-  std::fprintf(stderr, "simd fp64 specs byte-identical to compiled: %s\n",
-               SimdIdentical ? "yes" : "NO — EQUIVALENCE BUG");
-  std::fprintf(stderr,
-               "simd-f32 roles match compiled outside ±%.3g band: %s "
-               "(%zu flip(s), worst at %.4f from threshold)\n",
-               F32ThresholdBand,
-               F32RolesMatch ? "yes" : "NO — TOLERANCE BUG", F32Flips,
-               F32WorstFlip);
 
   std::string Json = "{\n";
   Json += formatString("  \"projects\": %d,\n", NumProjects);
@@ -237,43 +160,19 @@ int main() {
   Json += formatString("  \"nonzeros\": %zu,\n", S.NonZeros);
   Json += formatString("  \"max_multiplicity\": %zu,\n", S.MaxMultiplicity);
   Json += formatString("  \"iterations\": %d,\n", R.Solve.Iterations);
-  Json += formatString("  \"simd_active\": %s,\n",
-                       SimdActive ? "true" : "false");
+  Json += formatString("  \"simd_tier\": \"%s\",\n", Tier);
   Json += formatString("  \"legacy_serial_seconds\": %.6f,\n",
                        LegacySerialSeconds);
-  Json += formatString("  \"compiled_serial_seconds\": %.6f,\n",
-                       CompiledSerialSeconds);
-  Json += formatString("  \"simd_serial_seconds\": %.6f,\n",
-                       SimdSerialSeconds);
-  Json += formatString("  \"simd_f32_serial_seconds\": %.6f,\n",
-                       SimdF32SerialSeconds);
+  Json += formatString("  \"kernel_serial_seconds\": %.6f,\n",
+                       KernelSerialSeconds);
   Json += formatString("  \"legacy_parallel_seconds\": %.6f,\n",
                        LegacyParallelSeconds);
-  Json += formatString("  \"compiled_parallel_seconds\": %.6f,\n",
-                       CompiledParallelSeconds);
-  Json += formatString("  \"simd_parallel_seconds\": %.6f,\n",
-                       SimdParallelSeconds);
-  Json += formatString("  \"simd_f32_parallel_seconds\": %.6f,\n",
-                       SimdF32ParallelSeconds);
+  Json += formatString("  \"kernel_parallel_seconds\": %.6f,\n",
+                       KernelParallelSeconds);
   Json += formatString("  \"serial_speedup\": %.4f,\n", SerialSpeedup);
   Json += formatString("  \"parallel_speedup\": %.4f,\n", ParallelSpeedup);
-  Json += formatString("  \"simd_serial_speedup\": %.4f,\n",
-                       SimdSerialSpeedup);
-  Json += formatString("  \"simd_parallel_speedup\": %.4f,\n",
-                       SimdParallelSpeedup);
-  Json += formatString("  \"simd_f32_serial_speedup\": %.4f,\n",
-                       SimdF32SerialSpeedup);
-  Json += formatString("  \"simd_f32_parallel_speedup\": %.4f,\n",
-                       SimdF32ParallelSpeedup);
   Json += formatString("  \"byte_identical\": %s,\n",
                        Identical ? "true" : "false");
-  Json += formatString("  \"simd_byte_identical\": %s,\n",
-                       SimdIdentical ? "true" : "false");
-  Json += formatString("  \"simd_f32_roles_match\": %s,\n",
-                       F32RolesMatch ? "true" : "false");
-  Json += formatString("  \"simd_f32_role_flips\": %zu,\n", F32Flips);
-  Json += formatString("  \"simd_f32_threshold_band\": %.4f,\n",
-                       F32ThresholdBand);
   // Full registry snapshot (indented to nest under this object).
   {
     std::string Snapshot = Reg.toJson();
@@ -290,5 +189,5 @@ int main() {
   Json += "}\n";
   std::fputs(Json.c_str(), stdout);
 
-  return (Identical && SimdIdentical && F32RolesMatch) ? 0 : 1;
+  return Identical ? 0 : 1;
 }

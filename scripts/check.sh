@@ -31,21 +31,20 @@ cmake --build "$ROOT/build-tsan" -j "$JOBS" \
            cache_pipeline_test fault_pipeline_test service_test \
            shard_fault_test shard_pipeline_test active_learning_test \
            feedback_test
-ctest --test-dir "$ROOT/build-tsan" --output-on-failure -j "$JOBS" \
-  -R 'ThreadPoolTest|MetricsTest|TraceTest|MetricsPipelineTest|PipelineParallelTest|CompileTest|CompiledEquivalenceTest|SimdLayoutTest|SimdEquivalenceTest|SimdDispatchTest|SimdF32Test|CodecFaultTest|CacheFaultTest|CachePipelineTest|CacheStalenessTest|CacheDegradedTest|CacheKeyTest|FaultPipelineTest|ServiceTest|ServiceJsonTest|ProtocolTest|ShardCodecTest|ShardCodecFaultTest|ShardCacheFaultTest|ShardPipelineTest|ShardStalenessTest|ShardKeyTest|ShardWarmStartTest|ShardFallbackTest|ShardDegradedTest|ShardPipelineComboTest|ActiveLearningTest|UncertaintyTest|FileOracleTest|FeedbackTest'
+ctest --test-dir "$ROOT/build-tsan" --output-on-failure --no-tests=error \
+  -j "$JOBS" \
+  -R 'ThreadPoolTest|MetricsTest|TraceTest|MetricsPipelineTest|PipelineParallelTest|CompileTest|CompiledEquivalenceTest|SimdLayoutTest|SimdEquivalenceTest|SimdDispatchTest|CodecFaultTest|CacheFaultTest|CachePipelineTest|CacheStalenessTest|CacheDegradedTest|CacheKeyTest|FaultPipelineTest|ServiceTest|ServiceJsonTest|ProtocolTest|ShardCodecTest|ShardCodecFaultTest|ShardCacheFaultTest|ShardPipelineTest|ShardStalenessTest|ShardKeyTest|ShardWarmStartTest|ShardFallbackTest|ShardDegradedTest|ShardPipelineComboTest|ActiveLearningTest|UncertaintyTest|FileOracleTest|FeedbackTest'
 
 echo
-echo "=== ubsan: solver backends under UndefinedBehaviorSanitizer ==="
-# float-cast-overflow matters here: the fp32 kernels convert doubles to
-# float, and a coefficient overflowing to inf must be a caught bug, not
-# silent UB.
+echo "=== ubsan: solver kernels under UndefinedBehaviorSanitizer ==="
 cmake -B "$ROOT/build-ubsan" -S "$ROOT" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=undefined,float-cast-overflow -fno-sanitize-recover=all -g"
 cmake --build "$ROOT/build-ubsan" -j "$JOBS" \
   --target compiled_objective_test simd_objective_test solver_test
-ctest --test-dir "$ROOT/build-ubsan" --output-on-failure -j "$JOBS" \
-  -R 'CompileTest|CompiledEquivalenceTest|SimdLayoutTest|SimdEquivalenceTest|SimdDispatchTest|SimdF32Test|ObjectiveTest|AdamTest|ProjectedGradientTest'
+ctest --test-dir "$ROOT/build-ubsan" --output-on-failure --no-tests=error \
+  -j "$JOBS" \
+  -R 'CompileTest|CompiledEquivalenceTest|SimdLayoutTest|SimdEquivalenceTest|SimdDispatchTest|ObjectiveTest|AdamTest|ProjectedGradientTest'
 
 echo
 echo "=== asan: service + durability tests under AddressSanitizer ==="
@@ -59,7 +58,8 @@ cmake -B "$ROOT/build-asan" -S "$ROOT" \
   -DCMAKE_CXX_FLAGS="-fsanitize=address -fno-omit-frame-pointer -g"
 cmake --build "$ROOT/build-asan" -j "$JOBS" \
   --target service_test durability_fault_test recovery_harness_test
-ctest --test-dir "$ROOT/build-asan" --output-on-failure -j "$JOBS" \
+ctest --test-dir "$ROOT/build-asan" --output-on-failure --no-tests=error \
+  -j "$JOBS" \
   -R 'ServiceTest|ServiceJsonTest|ProtocolTest|JournalCodecTest|SnapshotCodecTest|StateStoreTest|RecoveryHarnessTest'
 
 echo

@@ -12,18 +12,9 @@ solver::Objective ConstraintSystem::makeObjective(double Lambda) const {
   return Obj;
 }
 
-solver::CompiledObjective
-ConstraintSystem::makeCompiledObjective(double Lambda) const {
-  solver::CompiledObjective Obj(Vars.numVars(), Constraints, Lambda);
-  for (const auto &[Var, Value] : Pinned)
-    Obj.pin(Var, Value);
-  return Obj;
-}
-
 solver::SimdObjective
-ConstraintSystem::makeSimdObjective(double Lambda,
-                                    solver::SimdPrecision Precision) const {
-  solver::SimdObjective Obj(Vars.numVars(), Constraints, Lambda, Precision);
+ConstraintSystem::makeSimdObjective(double Lambda) const {
+  solver::SimdObjective Obj(Vars.numVars(), Constraints, Lambda);
   for (const auto &[Var, Value] : Pinned)
     Obj.pin(Var, Value);
   return Obj;

@@ -17,7 +17,6 @@
 #define SELDON_CONSTRAINTS_CONSTRAINTSYSTEM_H
 
 #include "constraints/VarTable.h"
-#include "solver/CompiledObjective.h"
 #include "solver/Objective.h"
 #include "solver/SimdObjective.h"
 
@@ -44,20 +43,14 @@ struct ConstraintSystem {
   /// Mean |Reps(v)| over candidates (Tab. 1 "Average # backoff options").
   double AvgBackoffOptions = 0.0;
 
-  /// Builds the solver objective (hinge relaxation + L1, Eq. 9) with the
-  /// regularization strength \p Lambda.
+  /// Builds the legacy reference objective (hinge relaxation + L1,
+  /// Eq. 9) with the regularization strength \p Lambda — the oracle the
+  /// tests compare the production kernel against.
   solver::Objective makeObjective(double Lambda) const;
 
-  /// Compiles the system directly into the fused CSR form (same semantics
-  /// as makeObjective; see solver/CompiledObjective.h).
-  solver::CompiledObjective makeCompiledObjective(double Lambda) const;
-
-  /// Compiles the system into the blocked SIMD form (same semantics; fp64
-  /// is bit-identical to the compiled kernel — see solver/SimdObjective.h).
-  solver::SimdObjective
-  makeSimdObjective(double Lambda,
-                    solver::SimdPrecision Precision =
-                        solver::SimdPrecision::F64) const;
+  /// Compiles the system into the blocked SIMD kernel every solve runs on
+  /// (same semantics as makeObjective; see solver/SimdObjective.h).
+  solver::SimdObjective makeSimdObjective(double Lambda) const;
 };
 
 } // namespace constraints

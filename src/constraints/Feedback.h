@@ -14,9 +14,10 @@
 ///   accepted (rep, role), weight w:   {} <= w*x + (-w)   — hinge w*(1-x)
 ///   rejected (rep, role), weight w:   w*x <= {} + 0      — hinge w*x
 ///
-/// Both are ordinary LinearConstraints, so feedback composes with every
-/// solver backend (legacy / compiled / simd) byte-identically, an empty
-/// feedback set adds no rows (the passive path, byte for byte), and the
+/// Both are ordinary LinearConstraints, so feedback needs nothing from the
+/// solver: the production kernel and the reference evaluators see the
+/// rows like any other and agree byte for byte, an empty feedback set adds
+/// no rows (the passive path, byte for byte), and the
 /// effect is provably monotone: a reject row only ever adds downward
 /// subgradient (+w while x > 0) on its variable, an accept row only ever
 /// adds upward subgradient (-w while x < 1).

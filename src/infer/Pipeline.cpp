@@ -464,8 +464,8 @@ PipelineResult Session::solve() {
   // Feedback reweighting: append the evidence rows to this solve's copy
   // of the system (the session's own System stays row-clean, so dropping
   // the feedback later needs no regeneration). The rows are ordinary
-  // constraints, so every backend sees them identically; an empty set
-  // appends nothing and the run is byte-identical to the passive path.
+  // constraints the solver treats like any other; an empty set appends
+  // nothing and the run is byte-identical to the passive path.
   if (Opts.Feedback && !Opts.Feedback->empty()) {
     Result.UsedFeedback = true;
     Result.Feedback = constraints::applyFeedback(
@@ -515,48 +515,17 @@ PipelineResult Session::solve() {
 
   metrics::Registry &Reg = metrics::Registry::global();
   trace::Span SolveSpan(Reg, "session/solve");
-  // Either evaluator runs the same optimizer loop over the same system;
-  // the learned scores are byte-identical (see docs/architecture.md).
-  auto RunSolver = [&](const auto &Obj) {
-    if (Opts.UseAdam) {
-      solver::AdamOptimizer Optimizer(SolveOpts);
-      Result.Solve = Optimizer.minimize(Obj);
-    } else {
-      solver::ProjectedGradient Optimizer(SolveOpts);
-      Result.Solve = Optimizer.minimize(Obj);
-    }
-  };
-  Result.Backend = SolveOpts.Backend;
-  switch (SolveOpts.Backend) {
-  case solver::SolverBackend::Legacy: {
-    solver::Objective Obj = Result.System.makeObjective(Opts.Lambda);
-    Obj.setThreadPool(P);
-    RunSolver(Obj);
-    break;
-  }
-  case solver::SolverBackend::Compiled: {
-    solver::CompiledObjective Obj =
-        Result.System.makeCompiledObjective(Opts.Lambda);
-    Obj.setThreadPool(P);
-    Result.UsedCompiledSolver = true;
-    Result.SolverStats = Obj.stats();
-    RunSolver(Obj);
-    break;
-  }
-  case solver::SolverBackend::Simd:
-  case solver::SolverBackend::SimdF32: {
-    solver::SimdObjective Obj = Result.System.makeSimdObjective(
-        Opts.Lambda, SolveOpts.Backend == solver::SolverBackend::SimdF32
-                         ? solver::SimdPrecision::F32
-                         : solver::SimdPrecision::F64);
-    Obj.setThreadPool(P);
-    Result.UsedCompiledSolver = true;
-    Result.SolverStats = Obj.stats();
-    Result.SimdActive = Obj.simdActive();
-    RunSolver(Obj);
-    break;
-  }
-  }
+  // The blocked kernel is bit-identical to the compiled and legacy
+  // evaluators at every tier and Jobs setting (docs/architecture.md), so
+  // the learned scores do not depend on the host's SIMD support.
+  solver::SimdObjective Obj = Result.System.makeSimdObjective(Opts.Lambda);
+  Obj.setThreadPool(P);
+  Result.SolverStats = Obj.stats();
+  Result.SolverTier = Obj.tier();
+  if (Opts.UseAdam)
+    Result.Solve = solver::AdamOptimizer(SolveOpts).minimize(Obj);
+  else
+    Result.Solve = solver::ProjectedGradient(SolveOpts).minimize(Obj);
   Result.SolveSeconds = SolveSpan.finish();
 
   // Fold solver guard activity into the run health report.
@@ -578,11 +547,8 @@ PipelineResult Session::solve() {
     Reg.gauge("solver.nonzeros").set(static_cast<double>(CS.NonZeros));
     Reg.gauge("solver.max_multiplicity")
         .set(static_cast<double>(CS.MaxMultiplicity));
-    Reg.gauge("solver.compiled")
-        .set(Result.UsedCompiledSolver ? 1.0 : 0.0);
-    Reg.gauge("solver.backend")
-        .set(static_cast<double>(Result.Backend));
-    Reg.gauge("solver.simd_active").set(Result.SimdActive ? 1.0 : 0.0);
+    Reg.gauge("solver.simd_tier")
+        .set(static_cast<double>(Result.SolverTier));
     Reg.gauge("solve.final_objective").set(Result.Solve.FinalObjective);
     Reg.gauge("solve.converged").set(Result.Solve.Converged ? 1.0 : 0.0);
     Reg.gauge("incr.warm_start").set(Incr.WarmStarted ? 1.0 : 0.0);
@@ -660,7 +626,6 @@ bool Session::restoreSolve(const solver::SolveResult &Restored,
   }
   Incr.WarmStarted = Opts.WarmStart != nullptr;
   Result.Incr = Incr;
-  Result.Backend = Opts.Solve.Backend;
   Result.Solve = Restored;
   Result.Health = Health;
 

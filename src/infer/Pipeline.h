@@ -38,8 +38,8 @@
 #include "spec/LearnedSpec.h"
 #include "spec/SeedSpec.h"
 #include "solver/AdamOptimizer.h"
-#include "solver/CompiledObjective.h"
 #include "solver/ProjectedGradient.h"
+#include "solver/SimdObjective.h"
 #include "support/Deadline.h"
 
 #include <memory>
@@ -61,11 +61,6 @@ struct PipelineOptions {
   /// Use projected Adam (the paper's optimizer); false switches to plain
   /// projected subgradient descent (ablation).
   bool UseAdam = true;
-  // The evaluator backend lives in Solve.Backend
-  // (legacy | compiled | simd | simd-f32): legacy keeps the reference
-  // Objective, compiled lowers into the fused CSR kernel, simd adds the
-  // blocked AVX2 layout (byte-identical scores for all three), simd-f32
-  // trades bit equality for wider lanes under a documented tolerance.
   /// Warm-start the optimizer from a previously learned specification
   /// (matched by representation string): retraining after the corpus
   /// grows converges in far fewer iterations. Null starts from zero.
@@ -163,17 +158,12 @@ struct PipelineResult {
   double GenSeconds = 0.0;
   double SolveSeconds = 0.0;
 
-  /// Whether the solve used a compiled (CSR-lowered) kernel — the
-  /// compiled or either simd backend — and what the compilation pass did
-  /// (rows coalesced, CSR non-zeros). Stats are zero when the legacy path
-  /// ran.
-  bool UsedCompiledSolver = false;
+  /// What the compilation pass did (rows coalesced, CSR non-zeros), and
+  /// the kernel tier the blocked solver dispatched to. Every tier computes
+  /// bit-identical scores; both stay at their defaults on a restored
+  /// (unsolved) result.
   solver::CompileStats SolverStats;
-  /// The backend that ran, and whether the AVX2 kernels were active (true
-  /// only for the simd backends on AVX2 hosts without SELDON_SIMD=off;
-  /// the scalar fallback computes bit-identical results).
-  solver::SolverBackend Backend = solver::SolverBackend::Compiled;
-  bool SimdActive = false;
+  solver::SimdTier SolverTier = solver::SimdTier::Scalar;
 
   /// Whether a graph cache was enabled, and its counters at solve() time
   /// (hits + misses == project count when the cache was active during

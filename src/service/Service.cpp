@@ -292,7 +292,6 @@ std::unique_ptr<infer::Session> Service::makeSession() {
   P.Solve.MaxIterations = Opts.Iterations;
   P.Gen.RepCutoff = Opts.RepCutoff;
   P.Jobs = Opts.Jobs;
-  P.Solve.Backend = Opts.Backend;
   P.Strict = Opts.Strict;
   // Session::armDeadline is one-shot, which is wrong for a daemon: the
   // run deadline stays disarmed forever and per-request budgets flow
@@ -495,15 +494,6 @@ std::string Service::opLearn(const Request &Req, Deadline &D) {
   // stays cold by default so differential clients get the exact
   // reference trajectory.
   bool WarmStart = readBoolParam(Req, "warm", Reload);
-  // Optional per-request evaluator override; the daemon default is
-  // restored once the solve finishes (or throws).
-  solver::SolverBackend Backend = Opts.Backend;
-  if (const JsonValue *B = Req.Params.get("backend")) {
-    if (!B->isString() ||
-        !solver::parseSolverBackend(B->stringValue(), Backend))
-      badRequest(
-          "\"backend\" must be one of legacy|compiled|simd|simd-f32");
-  }
 
   checkDeadline(D, Reload ? "reload" : "solve");
   JournalRecord Rec;
@@ -511,7 +501,6 @@ std::string Service::opLearn(const Request &Req, Deadline &D) {
   Rec.Iters = static_cast<uint64_t>(Iters);
   Rec.WarmStart = WarmStart;
   Rec.Reload = Reload;
-  Rec.Backend = Backend;
 
   std::unique_lock<std::shared_mutex> Lock(WarmMutex);
   // Journal + fsync *before* the solve mutates anything: a crash at any
@@ -527,15 +516,14 @@ std::string Service::opLearn(const Request &Req, Deadline &D) {
   return formatString(
       "{\"iterations\":%d,\"converged\":%s,\"constraints\":%zu,"
       "\"candidates\":%zu,\"spec_size\":%zu,\"warm_started\":%s,"
-      "\"backend\":\"%s\",\"simd_active\":%s,"
+      "\"simd_tier\":%d,"
       "\"incremental\":{\"shards_hit\":%llu,\"shards_rebuilt\":%llu,"
       "\"warm_start\":%s},"
       "\"health\":\"%s\"}",
       Warm.Solve.Iterations, Warm.Solve.Converged ? "true" : "false",
       Warm.System.Constraints.size(), Warm.System.NumCandidates,
       Warm.Learned.size(), WarmStart ? "true" : "false",
-      solver::solverBackendName(Warm.Backend),
-      Warm.SimdActive ? "true" : "false",
+      static_cast<int>(Warm.SolverTier),
       static_cast<unsigned long long>(Warm.Incr.ShardsHit),
       static_cast<unsigned long long>(Warm.Incr.ShardsRebuilt),
       Warm.Incr.WarmStarted ? "true" : "false",
@@ -617,7 +605,6 @@ void Service::applyLearnRecord(const JournalRecord &Rec, Deadline *D) {
     NewSession->addProjects(NewCorpus);
     solver::SolveOptions &SO = NewSession->options().Solve;
     SO.MaxIterations = static_cast<int>(Rec.Iters);
-    SO.Backend = Rec.Backend;
     if (D && D->armed()) {
       SO.BudgetSeconds = D->remainingSeconds();
       SO.ShouldStop = [D]() { return D->expired(); };
@@ -631,7 +618,6 @@ void Service::applyLearnRecord(const JournalRecord &Rec, Deadline *D) {
     // Clear the per-request knobs before the session becomes the warm
     // one — D and WarmCopy die with this request.
     SO.MaxIterations = Opts.Iterations;
-    SO.Backend = Opts.Backend;
     SO.BudgetSeconds = 0.0;
     SO.ShouldStop = nullptr;
     NewSession->options().WarmStart = nullptr;
@@ -642,7 +628,6 @@ void Service::applyLearnRecord(const JournalRecord &Rec, Deadline *D) {
   } else {
     solver::SolveOptions &SO = Session->options().Solve;
     SO.MaxIterations = static_cast<int>(Rec.Iters);
-    SO.Backend = Rec.Backend;
     if (D && D->armed()) {
       SO.BudgetSeconds = D->remainingSeconds();
       SO.ShouldStop = [D]() { return D->expired(); };
@@ -653,7 +638,6 @@ void Service::applyLearnRecord(const JournalRecord &Rec, Deadline *D) {
     }
     auto Restore = [&]() {
       SO.MaxIterations = Opts.Iterations;
-      SO.Backend = Opts.Backend;
       SO.BudgetSeconds = 0.0;
       SO.ShouldStop = nullptr;
       Session->options().WarmStart = nullptr;

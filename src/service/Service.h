@@ -107,10 +107,6 @@ public:
     /// default.
     double Threshold = 0.1;
     unsigned Jobs = 0;
-    /// Default evaluator backend for the initial solve and `learn`
-    /// requests (which may override it per-request with a "backend"
-    /// param). See solver::SolverBackend.
-    solver::SolverBackend Backend = solver::SolverBackend::Compiled;
     /// Fail start() on the first broken project instead of quarantining.
     bool Strict = false;
     /// Default per-request wall-clock budget (0 = unlimited). Requests

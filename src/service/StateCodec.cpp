@@ -99,7 +99,6 @@ std::string encodeRecordPayload(const JournalRecord &Record) {
     putVarint(Payload, Record.Iters);
     Payload.push_back(Record.WarmStart ? 1 : 0);
     Payload.push_back(Record.Reload ? 1 : 0);
-    Payload.push_back(static_cast<char>(Record.Backend));
     break;
   case JournalOp::Abort:
     putVarint(Payload, Record.AbortedSeq);
@@ -132,19 +131,11 @@ JournalRecord decodeRecordPayload(ByteReader &Reader) {
         bitsDouble(Reader.getFixed64("similarity decay"));
     Record.Entries = getFeedbackEntries(Reader);
     break;
-  case JournalOp::Learn: {
+  case JournalOp::Learn:
     Record.Iters = Reader.getVarint("learn iters");
     Record.WarmStart = getBool(Reader, "learn warm flag") != 0;
     Record.Reload = getBool(Reader, "learn reload flag") != 0;
-    uint8_t Backend = Reader.getByte("learn backend");
-    if (Reader.ok() &&
-        Backend > static_cast<uint8_t>(solver::SolverBackend::SimdF32)) {
-      Reader.fail(formatString("unknown solver backend %u", Backend));
-      break;
-    }
-    Record.Backend = static_cast<solver::SolverBackend>(Backend);
     break;
-  }
   case JournalOp::Abort:
     Record.AbortedSeq = Reader.getVarint("aborted sequence number");
     break;

@@ -54,7 +54,8 @@ namespace seldon {
 namespace service {
 
 /// Bump on any layout change; decoders reject other versions.
-constexpr uint32_t JournalCodecVersion = 1;
+/// Journal version 2 dropped the learn record's solver-backend byte.
+constexpr uint32_t JournalCodecVersion = 2;
 constexpr uint32_t SnapshotCodecVersion = 1;
 
 /// The mutating operations the journal records.
@@ -80,7 +81,6 @@ struct JournalRecord {
 
   // Learn op.
   bool Reload = false;
-  solver::SolverBackend Backend = solver::SolverBackend::Compiled;
 
   // Abort op: the journaled sequence number that must not be replayed.
   uint64_t AbortedSeq = 0;

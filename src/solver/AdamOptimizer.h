@@ -15,9 +15,11 @@
 /// (numVars / project / initialPoint / valueAndGradient) and needs exactly
 /// one valueAndGradient evaluation per iteration: the objective value, the
 /// stationarity probe, best-iterate tracking, and the progress callback all
-/// derive from that single call. On a CompiledObjective that is one
-/// constraint sweep per iteration; the legacy Objective's reference
-/// implementation spends two sweeps inside valueAndGradient.
+/// derive from that single call. Production solves run it over the blocked
+/// SimdObjective (one constraint sweep per iteration); the tests also run
+/// it over the two reference evaluators — CompiledObjective and the legacy
+/// Objective, whose valueAndGradient spends two sweeps — to check that the
+/// trajectories match bit for bit.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,10 +31,8 @@
 namespace seldon {
 namespace solver {
 
-class CompiledObjective;
-
-/// Projected Adam gradient descent over Objective or CompiledObjective
-/// (explicitly instantiated for both in AdamOptimizer.cpp).
+/// Projected Adam gradient descent over SimdObjective, CompiledObjective
+/// or Objective (explicitly instantiated for each in AdamOptimizer.cpp).
 class AdamOptimizer {
 public:
   explicit AdamOptimizer(SolveOptions Options = SolveOptions())

@@ -78,7 +78,10 @@ struct CompileStats {
 
 /// The relaxed objective of paper Eq. (9) over a compiled constraint
 /// system. Immutable row data; same semantics as `Objective`, evaluated by
-/// a fused single-sweep kernel.
+/// a fused single-sweep kernel. SimdObjective builds its blocked layout on
+/// top of this class; on its own it is the bitwise reference the tests
+/// and bench/solver_kernel compare the blocked kernel against at
+/// arbitrary points.
 class CompiledObjective {
 public:
   /// Compiles \p Constraints (not retained) into CSR form.
@@ -132,7 +135,7 @@ public:
   size_t numShards() const { return Shards.size(); }
 
   /// Read-only views of the compiled CSR arrays and pin state. The SIMD
-  /// backend builds its blocked layout from these rows and keeps this
+  /// kernel builds its blocked layout from these rows and keeps this
   /// exact layout for its original-order gradient epilogue.
   const std::vector<uint32_t> &rowBegin() const { return RowBegin; }
   const std::vector<uint32_t> &varIdx() const { return VarIdx; }

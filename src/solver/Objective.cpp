@@ -10,35 +10,6 @@
 using namespace seldon;
 using namespace seldon::solver;
 
-const char *seldon::solver::solverBackendName(SolverBackend Backend) {
-  switch (Backend) {
-  case SolverBackend::Legacy:
-    return "legacy";
-  case SolverBackend::Compiled:
-    return "compiled";
-  case SolverBackend::Simd:
-    return "simd";
-  case SolverBackend::SimdF32:
-    return "simd-f32";
-  }
-  return "compiled";
-}
-
-bool seldon::solver::parseSolverBackend(const std::string &Name,
-                                        SolverBackend &Out) {
-  if (Name == "legacy")
-    Out = SolverBackend::Legacy;
-  else if (Name == "compiled")
-    Out = SolverBackend::Compiled;
-  else if (Name == "simd")
-    Out = SolverBackend::Simd;
-  else if (Name == "simd-f32" || Name == "simd_f32")
-    Out = SolverBackend::SimdF32;
-  else
-    return false;
-  return true;
-}
-
 Objective::Objective(size_t NumVars,
                      std::vector<LinearConstraint> Constraints, double Lambda)
     : NumVars(NumVars), Constraints(std::move(Constraints)), Lambda(Lambda),

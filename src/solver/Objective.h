@@ -52,7 +52,11 @@ struct LinearConstraint {
   double C = 0.0;
 };
 
-/// The relaxed objective over a fixed constraint system.
+/// The relaxed objective over a fixed constraint system, evaluated
+/// straight from the constraint list. This is the legacy reference
+/// evaluator: production solves run on SimdObjective, and the tests and
+/// bench/solver_kernel keep this class as the grid-exact oracle for the
+/// compilation pass (canonicalization and coalescing).
 ///
 /// Constraints are partitioned into fixed-size shards at construction.
 /// hingeLoss() and gradient() accumulate each shard serially into its own
@@ -146,29 +150,21 @@ private:
   mutable std::vector<std::vector<double>> ShardGrad;
 };
 
-/// Which evaluator backend a solve runs on. Legacy/Compiled/Simd all
-/// produce byte-identical learned specifications; SimdF32 trades bit
-/// equality for 8-wide lanes under a documented tolerance (see
-/// docs/architecture.md "Solver backends").
+/// Kept only because the benchmark tool in perfbench/tool sets
+/// `SolveOptions::Backend` and must keep compiling. Session::solve always
+/// evaluates on the blocked SimdObjective kernel; nothing reads this.
 enum class SolverBackend {
-  Legacy,   ///< Reference Objective: two sweeps per iteration.
-  Compiled, ///< Fused CSR kernel (the bit-exact reference for Simd).
-  Simd,     ///< Blocked CSR + AVX2 fp64; byte-identical to Compiled.
-  SimdF32,  ///< Blocked CSR + AVX2 fp32 compute / fp64 accumulate.
+  Compiled,
 };
-
-/// CLI/wire name of \p Backend: legacy | compiled | simd | simd-f32.
-const char *solverBackendName(SolverBackend Backend);
-
-/// Parses a CLI/wire backend name; returns false on unknown names without
-/// touching \p Out.
-bool parseSolverBackend(const std::string &Name, SolverBackend &Out);
 
 /// Shared optimizer knobs and results.
 struct SolveOptions {
   int MaxIterations = 500;
   double LearningRate = 0.05;
-  /// Stop when the objective improves by less than this between iterations.
+  /// Stationarity threshold. AdamOptimizer stops once the max-norm of a
+  /// projected gradient step, |P(X − LearningRate·∇) − X|∞, falls below
+  /// it; ProjectedGradient stops once two successive objective values
+  /// differ by less.
   double Tolerance = 1e-7;
   /// Adam moment decay rates.
   double Beta1 = 0.9;
@@ -199,9 +195,7 @@ struct SolveOptions {
   /// count; the point is projected before the first iteration. Empty (the
   /// default) keeps the exact cold start from Obj.initialPoint().
   std::vector<double> WarmStart;
-  /// Evaluator backend Session::solve builds for the run. Legacy,
-  /// Compiled, and Simd yield byte-identical specifications; Simd falls
-  /// back to a bit-identical scalar kernel on non-AVX2 hosts.
+  /// Unused; kept only for the benchmark tool (see SolverBackend).
   SolverBackend Backend = SolverBackend::Compiled;
 };
 

@@ -126,13 +126,7 @@ ProjectedGradient::minimize<Objective>(const Objective &,
 template SolveResult ProjectedGradient::minimize<CompiledObjective>(
     const CompiledObjective &) const;
 template SolveResult
-ProjectedGradient::minimize<CompiledObjective>(const CompiledObjective &,
-                                               std::vector<double>) const;
-template SolveResult
 ProjectedGradient::minimize<SimdObjective>(const SimdObjective &) const;
-template SolveResult
-ProjectedGradient::minimize<SimdObjective>(const SimdObjective &,
-                                           std::vector<double>) const;
 
 } // namespace solver
 } // namespace seldon

@@ -23,10 +23,9 @@
 namespace seldon {
 namespace solver {
 
-class CompiledObjective;
-
-/// Projected subgradient descent with diminishing steps, over Objective or
-/// CompiledObjective (explicitly instantiated in ProjectedGradient.cpp).
+/// Projected subgradient descent with diminishing steps, over
+/// SimdObjective, CompiledObjective or Objective (explicitly instantiated
+/// in ProjectedGradient.cpp).
 class ProjectedGradient {
 public:
   explicit ProjectedGradient(SolveOptions Options = SolveOptions())

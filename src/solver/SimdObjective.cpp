@@ -22,20 +22,19 @@ using namespace seldon::solver;
 
 namespace {
 
-// The value-pass kernels. All four variants accumulate each lane's row in
+// The value-pass kernels. All three tiers accumulate each lane's row in
 // the original CSR term order with separate mul and add (no FMA), so every
-// variant computes bit-identical per-row values for its precision: the
-// AVX2 kernels round each lane exactly like the corresponding scalar loop.
-// The fp64 variants also form the weighted hinge Weight·max(V, 0) — a max
-// followed by a separate multiply, the same two operations the compiled
-// row loop issues for a violated row — so the epilogue needs only H.
+// tier computes bit-identical per-row values: the vector kernels round each
+// lane exactly like the scalar loop. Each also forms the weighted hinge
+// Weight·max(V, 0) — a max followed by a separate multiply, the same two
+// operations the compiled row loop issues for a violated row — so the
+// epilogue needs only H.
 
-void valuePassF64Scalar(size_t BlockBegin, size_t BlockEnd,
-                        const size_t *Off, const uint32_t *Width,
-                        const uint32_t *Rows, const double *NegC,
-                        const double *Wt, const uint32_t *Idx,
-                        const double *Val, const double *X, uint32_t Sentinel,
-                        double *RowHinge) {
+void valuePassScalar(size_t BlockBegin, size_t BlockEnd, const size_t *Off,
+                     const uint32_t *Width, const uint32_t *Rows,
+                     const double *NegC, const double *Wt,
+                     const uint32_t *Idx, const double *Val, const double *X,
+                     uint32_t Sentinel, double *RowHinge) {
   for (size_t B = BlockBegin; B < BlockEnd; ++B) {
     const size_t O = Off[B];
     const uint32_t W = Width[B];
@@ -54,36 +53,14 @@ void valuePassF64Scalar(size_t BlockBegin, size_t BlockEnd,
   }
 }
 
-void valuePassF32Scalar(size_t BlockBegin, size_t BlockEnd,
-                        const size_t *Off, const uint32_t *Width,
-                        const uint32_t *Rows, const float *NegC,
-                        const uint32_t *Idx, const float *Val,
-                        const float *X, uint32_t Sentinel, float *RowVal) {
-  for (size_t B = BlockBegin; B < BlockEnd; ++B) {
-    const size_t O = Off[B];
-    const uint32_t W = Width[B];
-    float Acc[8];
-    for (int L = 0; L < 8; ++L)
-      Acc[L] = NegC[8 * B + L];
-    for (uint32_t J = 0; J < W; ++J)
-      for (int L = 0; L < 8; ++L)
-        Acc[L] += Val[O + 8 * J + L] * X[Idx[O + 8 * J + L]];
-    for (int L = 0; L < 8; ++L) {
-      const uint32_t R = Rows[8 * B + L];
-      if (R != Sentinel)
-        RowVal[R] = Acc[L];
-    }
-  }
-}
-
 #if SELDON_X86
 
 __attribute__((target("avx2")))
-void valuePassF64Avx2(size_t BlockBegin, size_t BlockEnd, const size_t *Off,
-                      const uint32_t *Width, const uint32_t *Rows,
-                      const double *NegC, const double *Wt,
-                      const uint32_t *Idx, const double *Val, const double *X,
-                      uint32_t Sentinel, double *RowHinge) {
+void valuePassAvx2(size_t BlockBegin, size_t BlockEnd, const size_t *Off,
+                   const uint32_t *Width, const uint32_t *Rows,
+                   const double *NegC, const double *Wt, const uint32_t *Idx,
+                   const double *Val, const double *X, uint32_t Sentinel,
+                   double *RowHinge) {
   for (size_t B = BlockBegin; B < BlockEnd; ++B) {
     const uint32_t W = Width[B];
     const uint32_t *IdxP = Idx + Off[B];
@@ -109,45 +86,16 @@ void valuePassF64Avx2(size_t BlockBegin, size_t BlockEnd, const size_t *Off,
   }
 }
 
-__attribute__((target("avx2")))
-void valuePassF32Avx2(size_t BlockBegin, size_t BlockEnd, const size_t *Off,
-                      const uint32_t *Width, const uint32_t *Rows,
-                      const float *NegC, const uint32_t *Idx,
-                      const float *Val, const float *X, uint32_t Sentinel,
-                      float *RowVal) {
-  for (size_t B = BlockBegin; B < BlockEnd; ++B) {
-    const uint32_t W = Width[B];
-    const uint32_t *IdxP = Idx + Off[B];
-    const float *ValP = Val + Off[B];
-    __m256 Acc = _mm256_loadu_ps(NegC + 8 * B);
-    for (uint32_t J = 0; J < W; ++J) {
-      __m256i I = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i *>(IdxP + 8 * J));
-      __m256 Xv = _mm256_i32gather_ps(X, I, 4);
-      __m256 Cv = _mm256_loadu_ps(ValP + 8 * J);
-      Acc = _mm256_add_ps(Acc, _mm256_mul_ps(Cv, Xv));
-    }
-    alignas(32) float Lane[8];
-    _mm256_store_ps(Lane, Acc);
-    for (int L = 0; L < 8; ++L) {
-      const uint32_t R = Rows[8 * B + L];
-      if (R != Sentinel)
-        RowVal[R] = Lane[L];
-    }
-  }
-}
-
 // The AVX-512 tier: same per-lane arithmetic at twice the width, with
 // masked scatter stores replacing the scalar sentinel branch. Rows within
 // a block are distinct, so the row-value scatter never conflicts.
 
 __attribute__((target("avx512f,avx512vl")))
-void valuePassF64Avx512(size_t BlockBegin, size_t BlockEnd,
-                        const size_t *Off, const uint32_t *Width,
-                        const uint32_t *Rows, const double *NegC,
-                        const double *Wt, const uint32_t *Idx,
-                        const double *Val, const double *X, uint32_t Sentinel,
-                        double *RowHinge) {
+void valuePassAvx512(size_t BlockBegin, size_t BlockEnd, const size_t *Off,
+                     const uint32_t *Width, const uint32_t *Rows,
+                     const double *NegC, const double *Wt,
+                     const uint32_t *Idx, const double *Val, const double *X,
+                     uint32_t Sentinel, double *RowHinge) {
   const __m256i Sent = _mm256_set1_epi32(static_cast<int>(Sentinel));
   for (size_t B = BlockBegin; B < BlockEnd; ++B) {
     const uint32_t W = Width[B];
@@ -171,38 +119,13 @@ void valuePassF64Avx512(size_t BlockBegin, size_t BlockEnd,
   }
 }
 
-__attribute__((target("avx512f")))
-void valuePassF32Avx512(size_t BlockBegin, size_t BlockEnd,
-                        const size_t *Off, const uint32_t *Width,
-                        const uint32_t *Rows, const float *NegC,
-                        const uint32_t *Idx, const float *Val, const float *X,
-                        uint32_t Sentinel, float *RowVal) {
-  const __m512i Sent = _mm512_set1_epi32(static_cast<int>(Sentinel));
-  for (size_t B = BlockBegin; B < BlockEnd; ++B) {
-    const uint32_t W = Width[B];
-    const uint32_t *IdxP = Idx + Off[B];
-    const float *ValP = Val + Off[B];
-    __m512 Acc = _mm512_loadu_ps(NegC + 16 * B);
-    for (uint32_t J = 0; J < W; ++J) {
-      __m512i I = _mm512_loadu_si512(IdxP + 16 * J);
-      __m512 Xv = _mm512_i32gather_ps(I, X, 4);
-      __m512 Cv = _mm512_loadu_ps(ValP + 16 * J);
-      Acc = _mm512_add_ps(Acc, _mm512_mul_ps(Cv, Xv));
-    }
-    __m512i R = _mm512_loadu_si512(Rows + 16 * B);
-    __mmask16 M = _mm512_cmpneq_epu32_mask(R, Sent);
-    _mm512_mask_i32scatter_ps(RowVal, M, R, Acc, 4);
-  }
-}
-
 // Order-preserving violated-row compaction for the epilogue: the masked
-// compress emits exactly the rows with H > 0 (V > 0 in fp32), in
-// ascending row order — the same set and sequence the branchy scalar
+// compress emits exactly the rows with H > 0, in ascending row order — the same set and sequence the branchy scalar
 // loop visits, just without the per-row branch.
 
 __attribute__((target("avx512f,avx512vl")))
-size_t compressViolatedF64(const double *H, size_t Begin, size_t End,
-                           double *HOut, uint32_t *ROut) {
+size_t compressViolated(const double *H, size_t Begin, size_t End,
+                        double *HOut, uint32_t *ROut) {
   size_t N = 0;
   size_t R = Begin;
   __m256i Idx = _mm256_add_epi32(
@@ -227,37 +150,21 @@ size_t compressViolatedF64(const double *H, size_t Begin, size_t End,
   return N;
 }
 
-__attribute__((target("avx512f")))
-size_t compressViolatedF32(const float *V, size_t Begin, size_t End,
-                           float *VOut, uint32_t *ROut) {
-  size_t N = 0;
-  size_t R = Begin;
-  __m512i Idx = _mm512_add_epi32(
-      _mm512_set1_epi32(static_cast<int>(Begin)),
-      _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14,
-                        15));
-  const __m512i Step = _mm512_set1_epi32(16);
-  const __m512 Zero = _mm512_setzero_ps();
-  for (; R + 16 <= End; R += 16) {
-    __m512 Vv = _mm512_loadu_ps(V + R);
-    __mmask16 M = _mm512_cmp_ps_mask(Vv, Zero, _CMP_GT_OQ);
-    _mm512_mask_compressstoreu_ps(VOut + N, M, Vv);
-    _mm512_mask_compressstoreu_epi32(ROut + N, M, Idx);
-    N += static_cast<unsigned>(__builtin_popcount(M));
-    Idx = _mm512_add_epi32(Idx, Step);
-  }
-  for (; R < End; ++R)
-    if (V[R] > 0.0f) {
-      VOut[N] = V[R];
-      ROut[N] = static_cast<uint32_t>(R);
-      ++N;
-    }
-  return N;
-}
-
 #endif // SELDON_X86
 
 } // namespace
+
+const char *seldon::solver::simdTierName(SimdTier Tier) {
+  switch (Tier) {
+  case SimdTier::Scalar:
+    return "scalar";
+  case SimdTier::Avx2:
+    return "avx2";
+  case SimdTier::Avx512:
+    return "avx512";
+  }
+  return "scalar";
+}
 
 bool SimdObjective::simdSupported() {
   // SELDON_SIMD=off|0|scalar forces the scalar fallback — the dispatch
@@ -289,16 +196,16 @@ bool SimdObjective::avx512Supported() {
 
 SimdObjective::SimdObjective(size_t NumVars,
                              const std::vector<LinearConstraint> &Constraints,
-                             double Lambda, SimdPrecision Precision)
-    : Inner(NumVars, Constraints, Lambda), Precision(Precision),
-      UseAvx2(simdSupported()), UseAvx512(UseAvx2 && avx512Supported()) {
+                             double Lambda)
+    : Inner(NumVars, Constraints, Lambda),
+      Tier(!simdSupported()    ? SimdTier::Scalar
+           : avx512Supported() ? SimdTier::Avx512
+                               : SimdTier::Avx2) {
   buildBlocks();
 }
 
-SimdObjective SimdObjective::compile(const Objective &Obj,
-                                     SimdPrecision Precision) {
-  SimdObjective Compiled(Obj.numVars(), Obj.constraints(), Obj.lambda(),
-                         Precision);
+SimdObjective SimdObjective::compile(const Objective &Obj) {
+  SimdObjective Compiled(Obj.numVars(), Obj.constraints(), Obj.lambda());
   const std::vector<uint8_t> &Mask = Obj.pinnedMask();
   const std::vector<double> &Values = Obj.pinnedValues();
   for (uint32_t V = 0; V < Obj.numVars(); ++V)
@@ -316,15 +223,9 @@ void SimdObjective::buildBlocks() {
   const size_t NumRows = Inner.numRows();
   const uint32_t Sentinel = static_cast<uint32_t>(NumRows);
   const size_t L = lanes();
-  const bool F32 = Precision == SimdPrecision::F32;
 
-  if (F32) {
-    RowValF.assign(NumRows, 0.0f);
-    VScratchF.assign(NumRows, 0.0f);
-  } else {
-    RowHinge.assign(NumRows, 0.0);
-    HScratch.assign(NumRows, 0.0);
-  }
+  RowHinge.assign(NumRows, 0.0);
+  HScratch.assign(NumRows, 0.0);
   RScratch.assign(NumRows, 0);
 
   // The scatter operands, precomputed in the inner kernel's contiguous
@@ -362,39 +263,25 @@ void SimdObjective::buildBlocks() {
       BlockWidth.push_back(W);
       BlockOff.push_back(BIdx.size());
       BIdx.resize(BIdx.size() + static_cast<size_t>(W) * L, 0);
-      if (F32)
-        BValF.resize(BIdx.size(), 0.0f);
-      else
-        BVal.resize(BIdx.size(), 0.0);
+      BVal.resize(BIdx.size(), 0.0);
       for (size_t Lane = 0; Lane < L; ++Lane) {
         const size_t Slot = I + Lane;
         if (Slot >= Order.size()) {
           BlockRows.push_back(Sentinel);
-          if (F32) {
-            BNegCF.push_back(0.0f);
-          } else {
-            BNegC.push_back(0.0);
-            BW.push_back(0.0);
-          }
+          BNegC.push_back(0.0);
+          BW.push_back(0.0);
           continue;
         }
         const uint32_t Row = Order[Slot];
         BlockRows.push_back(Row);
-        if (F32) {
-          BNegCF.push_back(static_cast<float>(-RC[Row]));
-        } else {
-          BNegC.push_back(-RC[Row]);
-          BW.push_back(WT[Row]);
-        }
+        BNegC.push_back(-RC[Row]);
+        BW.push_back(WT[Row]);
         const uint32_t Len = RB[Row + 1] - RB[Row];
         for (uint32_t J = 0; J < Len; ++J) {
           const size_t At = BlockOff.back() + static_cast<size_t>(J) * L +
                             Lane;
           BIdx[At] = VI[RB[Row] + J];
-          if (F32)
-            BValF[At] = static_cast<float>(CO[RB[Row] + J]);
-          else
-            BVal[At] = CO[RB[Row] + J];
+          BVal[At] = CO[RB[Row] + J];
         }
       }
     }
@@ -404,68 +291,44 @@ void SimdObjective::buildBlocks() {
 }
 
 void SimdObjective::valuePass(const Shard &S, const double *X) const {
-  if (Precision == SimdPrecision::F64) {
+  const uint32_t Sentinel = static_cast<uint32_t>(numRows());
 #if SELDON_X86
-    if (UseAvx512) {
-      valuePassF64Avx512(S.BlockBegin, S.BlockEnd, BlockOff.data(),
-                         BlockWidth.data(), BlockRows.data(), BNegC.data(),
-                         BW.data(), BIdx.data(), BVal.data(), X,
-                         static_cast<uint32_t>(numRows()), RowHinge.data());
-      return;
-    }
-    if (UseAvx2) {
-      valuePassF64Avx2(S.BlockBegin, S.BlockEnd, BlockOff.data(),
-                       BlockWidth.data(), BlockRows.data(), BNegC.data(),
-                       BW.data(), BIdx.data(), BVal.data(), X,
-                       static_cast<uint32_t>(numRows()), RowHinge.data());
-      return;
-    }
-#endif
-    valuePassF64Scalar(S.BlockBegin, S.BlockEnd, BlockOff.data(),
-                       BlockWidth.data(), BlockRows.data(), BNegC.data(),
-                       BW.data(), BIdx.data(), BVal.data(), X,
-                       static_cast<uint32_t>(numRows()), RowHinge.data());
+  if (Tier == SimdTier::Avx512) {
+    valuePassAvx512(S.BlockBegin, S.BlockEnd, BlockOff.data(),
+                    BlockWidth.data(), BlockRows.data(), BNegC.data(),
+                    BW.data(), BIdx.data(), BVal.data(), X, Sentinel,
+                    RowHinge.data());
     return;
   }
-#if SELDON_X86
-  if (UseAvx512) {
-    valuePassF32Avx512(S.BlockBegin, S.BlockEnd, BlockOff.data(),
-                       BlockWidth.data(), BlockRows.data(), BNegCF.data(),
-                       BIdx.data(), BValF.data(), XF.data(),
-                       static_cast<uint32_t>(numRows()), RowValF.data());
-    return;
-  }
-  if (UseAvx2) {
-    valuePassF32Avx2(S.BlockBegin, S.BlockEnd, BlockOff.data(),
-                     BlockWidth.data(), BlockRows.data(), BNegCF.data(),
-                     BIdx.data(), BValF.data(), XF.data(),
-                     static_cast<uint32_t>(numRows()), RowValF.data());
+  if (Tier == SimdTier::Avx2) {
+    valuePassAvx2(S.BlockBegin, S.BlockEnd, BlockOff.data(),
+                  BlockWidth.data(), BlockRows.data(), BNegC.data(),
+                  BW.data(), BIdx.data(), BVal.data(), X, Sentinel,
+                  RowHinge.data());
     return;
   }
 #endif
-  valuePassF32Scalar(S.BlockBegin, S.BlockEnd, BlockOff.data(),
-                     BlockWidth.data(), BlockRows.data(), BNegCF.data(),
-                     BIdx.data(), BValF.data(), XF.data(),
-                     static_cast<uint32_t>(numRows()), RowValF.data());
-  (void)X;
+  valuePassScalar(S.BlockBegin, S.BlockEnd, BlockOff.data(),
+                  BlockWidth.data(), BlockRows.data(), BNegC.data(),
+                  BW.data(), BIdx.data(), BVal.data(), X, Sentinel,
+                  RowHinge.data());
 }
 
 double SimdObjective::shardEpilogue(size_t Begin, size_t End,
                                     double *GradOut) const {
   // Original row order, same accumulation sequence as
   // CompiledObjective::shardSweep — this is where bit-identity of the
-  // hinge total and gradient is anchored. In fp64 mode the value pass
-  // already formed H = Weight·max(V, 0): H > 0 iff V > 0 (weights are
-  // >= 1, so the product cannot underflow to zero), and for a violated
-  // row H is exactly the compiled kernel's Weight·V term. The scatter
+  // hinge total and gradient is anchored. The value pass already formed
+  // H = Weight·max(V, 0): H > 0 iff V > 0 (weights are >= 1, so the
+  // product cannot underflow to zero), and for a violated row H is
+  // exactly the compiled kernel's Weight·V term. The scatter
   // adds the precomputed contiguous Weight·Coef products: same values,
   // same targets, same order as the compiled kernel.
   const std::vector<uint32_t> &RB = Inner.rowBegin();
   const std::vector<uint32_t> &VI = Inner.varIdx();
-  const bool F32 = Precision == SimdPrecision::F32;
   double Total = 0.0;
 #if SELDON_X86
-  if (UseAvx512) {
+  if (Tier == SimdTier::Avx512) {
     // Branch-free variant: compact the violated rows (order-preserving),
     // then accumulate and scatter over the compact list — the identical
     // value sequence, minus the per-row mispredictions.
@@ -474,62 +337,27 @@ double SimdObjective::shardEpilogue(size_t Begin, size_t End,
     // streaming pass over their (contiguous) CSR entry ranges — the same
     // K sequence as per-row loops, minus the per-row bookkeeping. The
     // hinge total still accumulates one row at a time, in order.
-    if (F32) {
-      float *VOut = VScratchF.data() + Begin;
-      const size_t N =
-          compressViolatedF32(RowValF.data(), Begin, End, VOut, ROut);
-      const std::vector<double> &WT = Inner.weight();
-      size_t I = 0;
-      while (I < N) {
-        const uint32_t R0 = ROut[I];
-        uint32_t R1 = R0;
-        Total += WT[R0] * static_cast<double>(VOut[I]);
-        ++I;
-        while (I < N && ROut[I] == R1 + 1) {
-          R1 = ROut[I];
-          Total += WT[R1] * static_cast<double>(VOut[I]);
-          ++I;
-        }
-        if (GradOut)
-          for (uint32_t K = RB[R0]; K < RB[R1 + 1]; ++K)
-            GradOut[VI[K]] += SWC[K];
-      }
-    } else {
-      double *HOut = HScratch.data() + Begin;
-      const size_t N =
-          compressViolatedF64(RowHinge.data(), Begin, End, HOut, ROut);
-      size_t I = 0;
-      while (I < N) {
-        const uint32_t R0 = ROut[I];
-        uint32_t R1 = R0;
+    double *HOut = HScratch.data() + Begin;
+    const size_t N =
+        compressViolated(RowHinge.data(), Begin, End, HOut, ROut);
+    size_t I = 0;
+    while (I < N) {
+      const uint32_t R0 = ROut[I];
+      uint32_t R1 = R0;
+      Total += HOut[I];
+      ++I;
+      while (I < N && ROut[I] == R1 + 1) {
+        R1 = ROut[I];
         Total += HOut[I];
         ++I;
-        while (I < N && ROut[I] == R1 + 1) {
-          R1 = ROut[I];
-          Total += HOut[I];
-          ++I;
-        }
-        if (GradOut)
-          for (uint32_t K = RB[R0]; K < RB[R1 + 1]; ++K)
-            GradOut[VI[K]] += SWC[K];
       }
-    }
-    return Total;
-  }
-#endif
-  if (F32) {
-    const std::vector<double> &WT = Inner.weight();
-    for (size_t R = Begin; R < End; ++R) {
-      const double V = static_cast<double>(RowValF[R]);
-      if (V <= 0.0)
-        continue; // Satisfied: no loss, subgradient 0.
-      Total += WT[R] * V;
       if (GradOut)
-        for (uint32_t K = RB[R]; K < RB[R + 1]; ++K)
+        for (uint32_t K = RB[R0]; K < RB[R1 + 1]; ++K)
           GradOut[VI[K]] += SWC[K];
     }
     return Total;
   }
+#endif
   for (size_t R = Begin; R < End; ++R) {
     const double H = RowHinge[R];
     if (H <= 0.0)
@@ -550,12 +378,6 @@ double SimdObjective::sweep(const std::vector<double> &X, bool WithGradient,
     Grad->assign(NumVars, 0.0);
   if (Shards.empty())
     return 0.0;
-
-  if (Precision == SimdPrecision::F32) {
-    XF.resize(NumVars);
-    for (size_t V = 0; V < NumVars; ++V)
-      XF[V] = static_cast<float>(X[V]);
-  }
 
   if (Shards.size() == 1) {
     valuePass(Shards[0], X.data());

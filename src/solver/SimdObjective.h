@@ -6,19 +6,20 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The vectorized solver backend: a blocked, row-length-sorted re-layout of
-/// the compiled CSR rows with explicit AVX2 value sweeps (runtime-dispatched,
-/// with a bit-identical scalar fallback).
+/// The production solver kernel: a blocked, row-length-sorted re-layout of
+/// the compiled CSR rows with explicit AVX-512/AVX2 value sweeps
+/// (dispatched from CPUID at construction, with a bit-identical scalar
+/// fallback). `Session::solve` evaluates every solve on it.
 ///
 /// The layout vectorizes **across rows** (a SELL-C-style sliced format):
 /// within each shard, rows are stably sorted by descending length and packed
-/// into blocks of `Lanes` rows (fp64: 4 under AVX2, 8 under AVX-512;
-/// fp32: 8 under AVX2, 16 under AVX-512). A block stores its
-/// coefficients lane-interleaved — entry (j, lane) at `Off + j·Lanes + lane`
-/// — so one vector load per j advances every lane's dot product by one term.
+/// into blocks of `Lanes` rows (4 under AVX2 and the scalar tier, 8 under
+/// AVX-512). A block stores its coefficients lane-interleaved — entry
+/// (j, lane) at `Off + j·Lanes + lane` — so one vector load per j advances
+/// every lane's dot product by one term.
 /// Short lanes are padded with (VarIdx 0, Coef 0.0) entries.
 ///
-/// Why this is byte-identical to `CompiledObjective` in fp64 mode:
+/// Why this is byte-identical to `CompiledObjective`:
 ///
 ///  * Each lane accumulates **its own row's** terms in the original CSR
 ///    order, `Acc = Acc + Coef·X` per step. A vector add/mul rounds each
@@ -29,7 +30,7 @@
 ///    lane value (projection keeps X in [0, 1], so the product is +0.0 and
 ///    v + 0.0 == v for every finite v except -0.0 — and a row value of
 ///    ±0.0 is on the satisfied side of the `V <= 0` test either way).
-///  * In fp64 mode the value pass also forms each row's weighted hinge
+///  * The value pass also forms each row's weighted hinge
 ///    `H = Weight · max(V, 0)` — `max` then a separate multiply, the same
 ///    two IEEE operations the compiled row loop performs, rounded per
 ///    lane exactly like scalar code. `H > 0` iff `V > 0` (weights are
@@ -48,20 +49,6 @@
 ///    `CompiledObjective::sweep`, so every Jobs setting and every kernel
 ///    tier (AVX-512, AVX2, scalar) produce bit-identical results.
 ///
-/// fp32 mode (`SimdPrecision::F32`) computes each row's dot product in
-/// float (8 lanes) over float-converted X and coefficients, then switches
-/// to double for everything downstream: the violation test, the weighted
-/// hinge total, and the gradient scatter (which uses the precomputed
-/// double `Weight · Coef` products, so gradient *entries* are exact —
-/// only the set of violated rows and the hinge value carry fp32
-/// rounding). Per-evaluation
-/// values agree with the fp64 path to within standard float accuracy
-/// (~1e-6 relative per row term); end to end the rounding perturbs the
-/// optimizer trajectory, so the contract (docs/architecture.md, enforced
-/// by bench/solver_kernel) is on role selection: it matches the compiled
-/// backend except where the compiled score lies within a documented band
-/// (±0.02) of the report threshold.
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef SELDON_SOLVER_SIMDOBJECTIVE_H
@@ -78,25 +65,29 @@ class ThreadPool;
 
 namespace solver {
 
-/// Arithmetic mode of the blocked sweep.
-enum class SimdPrecision {
-  F64, ///< Double compute; byte-identical to CompiledObjective.
-  F32, ///< Float compute, double accumulate (documented tolerance).
+/// The kernel tier a SimdObjective dispatched to at construction. The
+/// numeric values are the `solver.simd_tier` gauge and the seldond
+/// `learn` response's "simd_tier".
+enum class SimdTier : uint8_t {
+  Scalar = 0, ///< Portable loops (non-x86 hosts, or SELDON_SIMD=off).
+  Avx2 = 1,   ///< 4-lane AVX2 kernels (or SELDON_SIMD=avx2).
+  Avx512 = 2, ///< 8-lane AVX-512F+VL kernels.
 };
 
+/// Display name of \p Tier: scalar | avx2 | avx512.
+const char *simdTierName(SimdTier Tier);
+
 /// The relaxed objective of paper Eq. (9) evaluated by a blocked SIMD
-/// kernel. Same interface and semantics as `CompiledObjective`; fp64 mode
-/// is bit-identical to it on every input.
+/// kernel. Same interface and semantics as `CompiledObjective`, and
+/// bit-identical to it on every input.
 class SimdObjective {
 public:
   SimdObjective(size_t NumVars,
                 const std::vector<LinearConstraint> &Constraints,
-                double Lambda,
-                SimdPrecision Precision = SimdPrecision::F64);
+                double Lambda);
 
   /// Compiles an existing legacy objective, copying its pins.
-  static SimdObjective compile(const Objective &Obj,
-                               SimdPrecision Precision = SimdPrecision::F64);
+  static SimdObjective compile(const Objective &Obj);
 
   /// Evaluates sweeps on \p Pool (one task per shard); null reverts to
   /// serial execution with identical arithmetic. The pool must outlive
@@ -136,22 +127,18 @@ public:
   double pinnedValue(uint32_t Var) const { return Inner.pinnedValue(Var); }
   const CompileStats &stats() const { return Inner.stats(); }
   size_t numShards() const { return Shards.size(); }
-  SimdPrecision precision() const { return Precision; }
 
   /// Number of row blocks in the sliced layout (tests/diagnostics).
   size_t numBlocks() const { return BlockWidth.size(); }
-  /// Rows per block in the active layout (depends on precision and the
-  /// dispatched kernel tier).
+  /// Rows per block in the active layout (depends on the dispatched
+  /// kernel tier).
   size_t lanesPerBlock() const { return lanes(); }
   /// Padded entries the blocking added on top of numNonZeros().
   size_t paddedEntries() const { return BIdx.size() - Inner.numNonZeros(); }
 
-  /// True when vector kernels were selected at construction (host
-  /// supports AVX2 and SELDON_SIMD does not force the scalar fallback).
-  bool simdActive() const { return UseAvx2; }
-  /// True when the wider AVX-512 kernels were selected (host supports
-  /// AVX512F+VL and SELDON_SIMD does not cap the tier at "avx2").
-  bool avx512Active() const { return UseAvx512; }
+  /// The kernel tier selected at construction: the widest the host
+  /// supports, unless the SELDON_SIMD test/diagnostic override caps it.
+  SimdTier tier() const { return Tier; }
   /// Host/override check: AVX2 available and not disabled via
   /// SELDON_SIMD=off|0|scalar. Evaluated per construction.
   static bool simdSupported();
@@ -172,17 +159,13 @@ private:
     size_t BlockEnd = 0;
   };
 
-  size_t lanes() const {
-    const size_t Base = Precision == SimdPrecision::F64 ? 4 : 8;
-    return UseAvx512 ? 2 * Base : Base;
-  }
+  size_t lanes() const { return Tier == SimdTier::Avx512 ? 8 : 4; }
 
   /// Builds the sliced layout (shards, blocks, interleaved arrays).
   void buildBlocks();
 
-  /// Runs the blocked value pass for one shard, storing per-row results
-  /// into RowHinge (F64: weighted hinge) / RowValF (F32: raw row value),
-  /// indexed by original row.
+  /// Runs the blocked value pass for one shard, storing each row's
+  /// weighted hinge into RowHinge, indexed by original row.
   void valuePass(const Shard &S, const double *X) const;
 
   /// Scalar pass in original row order over [Begin, End): hinge total
@@ -195,9 +178,7 @@ private:
                std::vector<double> *Grad) const;
 
   CompiledObjective Inner;
-  SimdPrecision Precision;
-  bool UseAvx2;
-  bool UseAvx512;
+  SimdTier Tier;
 
   /// Sliced layout. Block b covers lanes BlockRows[b·Lanes .. +Lanes)
   /// (Sentinel = numRows marks a padding lane), has width BlockWidth[b]
@@ -206,33 +187,25 @@ private:
   std::vector<uint32_t> BlockWidth;
   std::vector<uint32_t> BlockRows;
   std::vector<uint32_t> BIdx;
-  std::vector<double> BVal;   ///< fp64 coefficients (F64 mode).
-  std::vector<double> BNegC;  ///< fp64 −C per lane (F64 mode).
-  std::vector<double> BW;     ///< fp64 weight per lane (F64 mode).
-  std::vector<float> BValF;   ///< fp32 coefficients (F32 mode).
-  std::vector<float> BNegCF;  ///< fp32 −C per lane (F32 mode).
-  /// Precomputed Weight·Coef per CSR entry (double in both modes,
-  /// contiguous in the inner CompiledObjective's term order): the
-  /// gradient scatter's operands, bit-identical to the compiled kernel's
-  /// per-term scalar products.
+  std::vector<double> BVal;  ///< Coefficients.
+  std::vector<double> BNegC; ///< −C per lane.
+  std::vector<double> BW;    ///< Weight per lane.
+  /// Precomputed Weight·Coef per CSR entry (contiguous in the inner
+  /// CompiledObjective's term order): the gradient scatter's operands,
+  /// bit-identical to the compiled kernel's per-term scalar products.
   std::vector<double> SWC;
 
   std::vector<Shard> Shards;
   ThreadPool *Pool = nullptr;
 
-  /// Per-row results of the value pass (original row index): F64 mode
-  /// stores the weighted hinge Weight·max(V, 0); F32 mode stores the raw
-  /// float row value.
+  /// Per-row results of the value pass (original row index): the
+  /// weighted hinge Weight·max(V, 0).
   mutable std::vector<double> RowHinge;
-  mutable std::vector<float> RowValF;
   /// Violated-row compaction scratch for the AVX-512 epilogue; each
   /// shard writes only its own [Begin, End) subrange, so parallel sweeps
   /// never share a region.
   mutable std::vector<uint32_t> RScratch;
   mutable std::vector<double> HScratch;
-  mutable std::vector<float> VScratchF;
-  /// Float-converted iterate, refreshed once per sweep (F32 mode).
-  mutable std::vector<float> XF;
   /// Per-shard reduction buffers (only used with more than one shard).
   mutable std::vector<std::vector<double>> ShardGrad;
   mutable std::vector<double> ShardHinge;

@@ -4,8 +4,8 @@
 // corpus: starting from half the hand-written seed, the loop must recover
 // full-seed passive quality with measurably fewer oracle labels than
 // pinning every candidate, the query transcript and learned spec must be
-// byte-identical at any --jobs value and across the compiled/simd
-// backends, and a replayed transcript must reproduce the run exactly.
+// byte-identical at any --jobs value, and a replayed transcript must
+// reproduce the run exactly.
 //
 //===----------------------------------------------------------------------===//
 
@@ -31,22 +31,16 @@ constexpr uint64_t CorpusSeed = 13;
 constexpr int CorpusProjects = 8;
 constexpr int SolveIterations = 300;
 
-infer::PipelineOptions
-testPipelineOptions(unsigned Jobs = 1,
-                    solver::SolverBackend Backend =
-                        solver::SolverBackend::Compiled) {
+infer::PipelineOptions testPipelineOptions(unsigned Jobs = 1) {
   infer::PipelineOptions P;
   P.Solve.MaxIterations = SolveIterations;
   P.Jobs = Jobs;
-  P.Solve.Backend = Backend;
   return P;
 }
 
 ActiveResult runActive(const corpus::Corpus &Data, Oracle &O,
-                       const ActiveOptions &AO, unsigned Jobs = 1,
-                       solver::SolverBackend Backend =
-                           solver::SolverBackend::Compiled) {
-  infer::Session S(testPipelineOptions(Jobs, Backend));
+                       const ActiveOptions &AO, unsigned Jobs = 1) {
+  infer::Session S(testPipelineOptions(Jobs));
   S.addProjects(Data.Projects);
   return runActiveLoop(S, Data.Seed, O, AO);
 }
@@ -118,8 +112,8 @@ TEST(ActiveLearningTest, RecoversFullSeedQualityWithHalfTheLabels) {
 }
 
 //===----------------------------------------------------------------------===//
-// Determinism: byte-identical specs and transcripts across jobs, backends,
-// and repeated runs.
+// Determinism: byte-identical specs and transcripts across jobs and
+// repeated runs.
 //===----------------------------------------------------------------------===//
 
 ActiveOptions shortRun() {
@@ -134,17 +128,6 @@ TEST(ActiveLearningTest, ByteIdenticalAcrossJobs) {
   GroundTruthOracle O1(Data.Truth), O4(Data.Truth);
   ActiveResult A = runActive(Data, O1, shortRun(), /*Jobs=*/1);
   ActiveResult B = runActive(Data, O4, shortRun(), /*Jobs=*/4);
-  expectSameTranscript(A, B);
-  EXPECT_EQ(specBytes(A.Final.Learned), specBytes(B.Final.Learned));
-}
-
-TEST(ActiveLearningTest, ByteIdenticalAcrossBackends) {
-  corpus::Corpus Data = testutil::makeCorpus(CorpusSeed, CorpusProjects);
-  GroundTruthOracle OC(Data.Truth), OS(Data.Truth);
-  ActiveResult A = runActive(Data, OC, shortRun(), /*Jobs=*/2,
-                             solver::SolverBackend::Compiled);
-  ActiveResult B = runActive(Data, OS, shortRun(), /*Jobs=*/2,
-                             solver::SolverBackend::Simd);
   expectSameTranscript(A, B);
   EXPECT_EQ(specBytes(A.Final.Learned), specBytes(B.Final.Learned));
 }

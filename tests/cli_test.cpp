@@ -10,6 +10,7 @@
 
 #include <array>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -215,8 +216,32 @@ TEST_F(CliTest, MetricsJsonOutput) {
   for (const char *Key :
        {"\"session/parse\"", "\"session/constraints\"", "\"session/solve\"",
         "\"parse.files\"", "\"solve.iterations\"", "\"solver.rows_after\"",
-        "\"solve.objective\""})
+        "\"solver.simd_tier\"", "\"solve.objective\""})
     EXPECT_NE(Json.find(Key), std::string::npos) << "missing " << Key;
+}
+
+TEST_F(CliTest, SolverStatsNameTheDispatchedTier) {
+  // "(avx2)" marks any vector tier; "tier <name>" says which one ran.
+  const std::string Args = "learn --iters 50 --solver-stats " + repo();
+  setenv("SELDON_SIMD", "off", 1);
+  CommandResult Scalar = runCli(Args);
+  unsetenv("SELDON_SIMD");
+  EXPECT_EQ(Scalar.ExitCode, 0) << Scalar.Output;
+  EXPECT_NE(Scalar.Output.find("solver: simd backend, tier scalar,"),
+            std::string::npos)
+      << Scalar.Output;
+#if defined(__x86_64__) || defined(__i386__)
+  const bool Avx2 = __builtin_cpu_supports("avx2");
+  const bool Avx512 = Avx2 && __builtin_cpu_supports("avx512f") &&
+                      __builtin_cpu_supports("avx512vl");
+  CommandResult Native = runCli(Args);
+  EXPECT_EQ(Native.ExitCode, 0) << Native.Output;
+  const char *Expected = Avx512 ? "solver: simd backend (avx2), tier avx512,"
+                         : Avx2 ? "solver: simd backend (avx2), tier avx2,"
+                                : "solver: simd backend, tier scalar,";
+  EXPECT_NE(Native.Output.find(Expected), std::string::npos)
+      << Native.Output;
+#endif
 }
 
 TEST_F(CliTest, MetricsTableOutput) {

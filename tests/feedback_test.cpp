@@ -4,7 +4,8 @@
 // subgradient-level monotonicity (a reject only ever adds downward pull,
 // an accept only upward), propagation strictly along shared backoff sets,
 // byte-identity of the empty-feedback path with the passive solve, and
-// byte-identity of feedback-weighted solves across solver backends.
+// bit-identity of a feedback-weighted Session::solve with the legacy
+// reference evaluator over the same reweighted system.
 //
 //===----------------------------------------------------------------------===//
 
@@ -16,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -242,7 +244,8 @@ TEST(FeedbackTest, SubgradientsAreMonotoneAtInteriorPoints) {
 
 //===----------------------------------------------------------------------===//
 // End-to-end: solves move in the verdict's direction, the empty set is the
-// passive path byte for byte, and all backends agree.
+// passive path byte for byte, and the production kernel agrees with the
+// legacy reference evaluator.
 //===----------------------------------------------------------------------===//
 
 struct SolveSetup {
@@ -251,13 +254,15 @@ struct SolveSetup {
 
   corpus::Corpus Data;
 
-  infer::PipelineResult
-  solveWith(const FeedbackSet *Set,
-            solver::SolverBackend Backend = solver::SolverBackend::Compiled,
-            double Weight = 1.0) {
+  infer::PipelineOptions options() const {
     infer::PipelineOptions P;
     P.Solve.MaxIterations = 300;
-    P.Solve.Backend = Backend;
+    return P;
+  }
+
+  infer::PipelineResult solveWith(const FeedbackSet *Set,
+                                  double Weight = 1.0) {
+    infer::PipelineOptions P = options();
     P.Feedback = Set;
     P.FeedbackOpts.AcceptWeight = Weight;
     P.FeedbackOpts.RejectWeight = Weight;
@@ -315,8 +320,7 @@ TEST(FeedbackTest, SolvesMoveInTheVerdictDirection) {
   FeedbackSet Accept;
   Accept.accept(Rep, Role);
   infer::PipelineResult Up =
-      Setup.solveWith(&Accept, solver::SolverBackend::Compiled,
-                      /*Weight=*/5.0);
+      Setup.solveWith(&Accept, /*Weight=*/5.0);
   EXPECT_TRUE(Up.UsedFeedback);
   EXPECT_EQ(Up.Feedback.Matched, 1u);
   EXPECT_GT(Up.Solve.X[Judged], Before)
@@ -325,8 +329,7 @@ TEST(FeedbackTest, SolvesMoveInTheVerdictDirection) {
   FeedbackSet Reject;
   Reject.reject(Rep, Role);
   infer::PipelineResult Down =
-      Setup.solveWith(&Reject, solver::SolverBackend::Compiled,
-                      /*Weight=*/5.0);
+      Setup.solveWith(&Reject, /*Weight=*/5.0);
   EXPECT_LT(Down.Solve.X[Judged], Before)
       << Rep << " score did not fall after a reject";
 }
@@ -344,15 +347,20 @@ TEST(FeedbackTest, FeedbackSolvesAreByteIdenticalAcrossBackends) {
   Set.reject(Probe.Reps.repString(Probe.System.Vars.repOf(1)),
              Probe.System.Vars.roleOf(1));
 
-  infer::PipelineResult Legacy =
-      Setup.solveWith(&Set, solver::SolverBackend::Legacy);
-  infer::PipelineResult Compiled =
-      Setup.solveWith(&Set, solver::SolverBackend::Compiled);
-  infer::PipelineResult Simd =
-      Setup.solveWith(&Set, solver::SolverBackend::Simd);
-  std::string LegacySpec = spec::writeLearnedSpec(Legacy.Learned, 0.0);
-  EXPECT_EQ(LegacySpec, spec::writeLearnedSpec(Compiled.Learned, 0.0));
-  EXPECT_EQ(LegacySpec, spec::writeLearnedSpec(Simd.Learned, 0.0));
+  // The returned System carries the evidence rows, so the legacy oracle
+  // solves exactly the reweighted system Session::solve did.
+  infer::PipelineResult R = Setup.solveWith(&Set);
+  ASSERT_TRUE(R.UsedFeedback);
+  ASSERT_GT(R.Feedback.EvidenceRows, 0u);
+  infer::PipelineOptions P = Setup.options();
+  solver::Objective Oracle = R.System.makeObjective(P.Lambda);
+  solver::SolveResult Ref = solver::AdamOptimizer(P.Solve).minimize(Oracle);
+
+  EXPECT_EQ(R.Solve.Iterations, Ref.Iterations);
+  ASSERT_EQ(R.Solve.X.size(), Ref.X.size());
+  EXPECT_EQ(std::memcmp(R.Solve.X.data(), Ref.X.data(),
+                        Ref.X.size() * sizeof(double)),
+            0);
 }
 
 } // namespace

@@ -14,6 +14,8 @@
 #include "service/QueryResult.h"
 #include "service/Service.h"
 #include "service/SocketServer.h"
+#include "service/StateCodec.h"
+#include "service/StateStore.h"
 #include "support/ThreadPool.h"
 
 #include <gtest/gtest.h>
@@ -370,6 +372,20 @@ TEST_F(ServiceTest, LearnResponseCarriesIncrementalStats) {
                        "\"shards_rebuilt\":0,\"warm_start\":false}"),
             std::string::npos)
       << Learn;
+  // The kernel tier that ran: 0 scalar, 1 avx2, 2 avx512.
+  int Tier = !solver::SimdObjective::simdSupported()     ? 0
+             : solver::SimdObjective::avx512Supported() ? 2
+                                                        : 1;
+  EXPECT_NE(Learn.find("\"simd_tier\":" + std::to_string(Tier) + ","),
+            std::string::npos)
+      << Learn;
+  // There is one solver, so a "backend" param is an unknown param and,
+  // like any other, ignored.
+  std::string WithBackend = Svc->serve(
+      "{\"v\":1,\"id\":2,\"op\":\"learn\",\"iters\":200,"
+      "\"backend\":\"legacy\"}");
+  EXPECT_NE(WithBackend.find("\"ok\":true"), std::string::npos)
+      << WithBackend;
 }
 
 TEST_F(ServiceTest, LearnReloadReplaysUnchangedShards) {
@@ -499,6 +515,50 @@ TEST_F(ServiceTest, DurableRestartServesByteIdenticalState) {
   // counted twice.
   std::string Again = Restarted->serve(FeedbackLine);
   EXPECT_NE(Again.find("\"total_feedback\":1"), std::string::npos) << Again;
+}
+
+TEST_F(ServiceTest, OldJournalVersionIsEvictedAndSnapshotRestores) {
+  // A journal left by a daemon that wrote an older journal layout: the
+  // header's version does not match, so recovery evicts the journal as
+  // corrupt and restores the newest snapshot alone.
+  fs::create_directories(Root / "state");
+  Service::Options Opts = testOptions();
+  Opts.StateDir = (Root / "state").string();
+  const std::string QueryLine =
+      "{\"v\":1,\"id\":2,\"op\":\"query\",\"rep\":\"flask.escape()\","
+      "\"role\":\"sanitizer\"}";
+
+  std::string Before, JournalPath;
+  {
+    auto Svc = startService(Opts);
+    ASSERT_TRUE(Svc);
+    ASSERT_NE(Svc->stateStore(), nullptr);
+    std::string R = Svc->serve(
+        "{\"v\":1,\"id\":1,\"op\":\"feedback\",\"iters\":200,"
+        "\"accept\":[{\"rep\":\"flask.escape()\",\"role\":\"sanitizer\"}]}");
+    ASSERT_NE(R.find("\"ok\":true"), std::string::npos) << R;
+    Before = Svc->serve(QueryLine);
+    Svc->persist();
+    JournalPath = Svc->stateStore()->journalPath();
+  }
+  // Rewrite the journal with a version-1 header ("SWAL" + varint 1).
+  ASSERT_EQ(JournalCodecVersion, 2u);
+  std::string OldHeader = journalHeader();
+  OldHeader.back() = 1;
+  {
+    std::ofstream Out(JournalPath, std::ios::binary | std::ios::trunc);
+    Out << OldHeader;
+  }
+
+  auto Restarted = startService(Opts);
+  ASSERT_TRUE(Restarted);
+  DurabilityStats Stats = Restarted->stateStore()->stats();
+  EXPECT_EQ(Stats.EvictedJournals, 1u);
+  ASSERT_FALSE(Stats.Errors.empty());
+  EXPECT_NE(Stats.Errors.front().find("unsupported journal format version 1"),
+            std::string::npos)
+      << Stats.Errors.front();
+  EXPECT_EQ(Restarted->serve(QueryLine), Before);
 }
 
 TEST_F(ServiceTest, StatusReportsDurabilityCounters) {

@@ -74,8 +74,6 @@ struct CliOptions {
   bool Metrics = false;
   std::string MetricsOut;
   bool SolverStats = false;
-  std::string SolverBackend = "compiled";
-  bool LegacySolver = false; // Deprecated alias for --solver-backend=legacy.
   bool Dot = false;
   bool Dedup = true;
   bool Json = false;
@@ -89,21 +87,6 @@ struct CliOptions {
   std::string ExplainRole = "source";
   std::vector<std::string> Paths;
 };
-
-/// Resolves --solver-backend (and the deprecated --legacy-solver alias)
-/// into a SolveOptions backend; false + stderr diagnostic on bad names.
-bool resolveBackend(const CliOptions &Opts, solver::SolverBackend &Out) {
-  if (!solver::parseSolverBackend(Opts.SolverBackend, Out)) {
-    std::fprintf(stderr,
-                 "error: unknown --solver-backend '%s' (expected "
-                 "legacy|compiled|simd|simd-f32)\n",
-                 Opts.SolverBackend.c_str());
-    return false;
-  }
-  if (Opts.LegacySolver)
-    Out = solver::SolverBackend::Legacy;
-  return true;
-}
 
 /// Renders pipeline progress to stderr. The Session serializes callbacks,
 /// so plain fprintf is safe even with a parallel frontend.
@@ -192,17 +175,8 @@ void registerFlags(ArgParser &Parser, CliOptions &Opts,
       .string("--metrics-out", &Opts.MetricsOut, "F",
               "write the metrics snapshot as JSON to F")
       .flag("--solver-stats", &Opts.SolverStats,
-            "learn: print compiled-system statistics (rows\n"
-            "before/after dedup, non-zeros, ms/iteration)")
-      .string("--solver-backend", &Opts.SolverBackend, "B",
-              "learn/explain: evaluator backend —\n"
-              "legacy|compiled|simd|simd-f32 (default compiled;\n"
-              "legacy/compiled/simd learn byte-identical specs,\n"
-              "simd-f32 matches within a documented tolerance)")
-      .flag("--legacy-solver", &Opts.LegacySolver,
-            "learn/explain: solve with the uncompiled\n"
-            "reference evaluator (same learned spec, slower;\n"
-            "alias for --solver-backend=legacy)")
+            "learn: print solver statistics (kernel tier,\n"
+            "rows before/after dedup, non-zeros, ms/iteration)")
       .flag("--active", &Opts.Active,
             "learn: run the active-learning loop — rank uncertain\n"
             "scores, query the --oracle file, pin the answers, and\n"
@@ -490,8 +464,6 @@ int cmdLearn(const CliOptions &Opts) {
   PipelineOpts.Solve.MaxIterations = Opts.Iterations;
   PipelineOpts.Gen.RepCutoff = Opts.RepCutoff;
   PipelineOpts.Jobs = Opts.Jobs;
-  if (!resolveBackend(Opts, PipelineOpts.Solve.Backend))
-    return 1;
   PipelineOpts.Strict = Opts.Strict;
   PipelineOpts.DeadlineSeconds = Opts.DeadlineSeconds;
 
@@ -594,18 +566,15 @@ int cmdLearn(const CliOptions &Opts) {
                  R.Feedback.Matched, R.Feedback.Unmatched,
                  R.Feedback.EvidenceRows, R.Feedback.PropagatedRows);
   if (Opts.SolverStats) {
-    if (R.UsedCompiledSolver) {
-      const solver::CompileStats &S = R.SolverStats;
-      std::fprintf(stderr,
-                   "solver: %s backend%s, %zu rows -> %zu after dedup "
-                   "(%.2fx), %zu non-zeros, max multiplicity %zu\n",
-                   solver::solverBackendName(R.Backend),
-                   R.SimdActive ? " (avx2)" : "", S.RowsBefore,
-                   S.RowsAfter, S.dedupRatio(), S.NonZeros,
-                   S.MaxMultiplicity);
-    } else {
-      std::fprintf(stderr, "solver: legacy evaluator (no compilation)\n");
-    }
+    // "(avx2)" marks any vector tier; the tier name follows it.
+    const solver::CompileStats &S = R.SolverStats;
+    std::fprintf(stderr,
+                 "solver: simd backend%s, tier %s, %zu rows -> %zu after "
+                 "dedup (%.2fx), %zu non-zeros, max multiplicity %zu\n",
+                 R.SolverTier != solver::SimdTier::Scalar ? " (avx2)" : "",
+                 solver::simdTierName(R.SolverTier), S.RowsBefore,
+                 S.RowsAfter, S.dedupRatio(), S.NonZeros,
+                 S.MaxMultiplicity);
     std::fprintf(stderr, "solver: %.3f ms/iteration over %d iteration(s)\n",
                  R.Solve.Iterations > 0
                      ? 1000.0 * R.SolveSeconds / R.Solve.Iterations
@@ -766,8 +735,6 @@ int cmdExplain(const CliOptions &Opts) {
   PipelineOpts.Solve.MaxIterations = Opts.Iterations;
   PipelineOpts.Gen.RepCutoff = Opts.RepCutoff;
   PipelineOpts.Jobs = Opts.Jobs;
-  if (!resolveBackend(Opts, PipelineOpts.Solve.Backend))
-    return 1;
   PipelineOpts.Strict = Opts.Strict;
   PipelineOpts.DeadlineSeconds = Opts.DeadlineSeconds;
 

@@ -95,8 +95,6 @@ bool parseDaemonArgs(int Argc, char **Argv, DaemonOptions &Opts,
   unsigned long Jobs = 0;
   unsigned long MaxInFlight = 64;
   unsigned long SnapshotEvery = 1;
-  std::string Backend = "compiled";
-  bool LegacySolver = false;
 
   Parser.string("--socket", &Opts.SocketPath, "PATH",
                 "serve on a Unix domain socket at PATH");
@@ -136,13 +134,6 @@ bool parseDaemonArgs(int Argc, char **Argv, DaemonOptions &Opts,
   Parser.flag("--strict", &Opts.Svc.Strict,
               "fail startup on the first broken project instead of\n"
               "quarantining it");
-  Parser.string("--solver-backend", &Backend, "B",
-                "evaluator backend: legacy|compiled|simd|simd-f32\n"
-                "(default compiled); `learn` requests may override\n"
-                "per-request with a \"backend\" param");
-  Parser.flag("--legacy-solver", &LegacySolver,
-              "solve with the uncompiled reference evaluator\n"
-              "(alias for --solver-backend=legacy)");
   Parser.flag("--metrics", &Opts.Metrics,
               "print the metrics snapshot to stderr on exit");
   Parser.string("--metrics-out", &Opts.MetricsOut, "F",
@@ -181,15 +172,6 @@ bool parseDaemonArgs(int Argc, char **Argv, DaemonOptions &Opts,
     std::fprintf(stderr, "error: --snapshot-every requires --state-dir\n");
     return false;
   }
-  if (!solver::parseSolverBackend(Backend, Opts.Svc.Backend)) {
-    std::fprintf(stderr,
-                 "error: unknown --solver-backend '%s' (expected "
-                 "legacy|compiled|simd|simd-f32)\n",
-                 Backend.c_str());
-    return false;
-  }
-  if (LegacySolver)
-    Opts.Svc.Backend = solver::SolverBackend::Legacy;
   if (Opts.ShardCache) {
     if (Opts.Svc.CacheDir.empty()) {
       std::fprintf(stderr, "error: --shard-cache requires --cache-dir\n");
