@@ -518,7 +518,15 @@ PipelineResult Session::solve() {
   // The blocked kernel is bit-identical to the compiled and legacy
   // evaluators at every tier and Jobs setting (docs/architecture.md), so
   // the learned scores do not depend on the host's SIMD support.
+  trace::Span CompileSpan(Reg, "compile");
   solver::SimdObjective Obj = Result.System.makeSimdObjective(Opts.Lambda);
+  Result.CompileSeconds = CompileSpan.finish();
+  if (Reg.enabled())
+    Reg.timer("solver.compile_seconds").record(Result.CompileSeconds);
+  // Small systems keep the full budget: there the patience stop is cheap
+  // to skip and not safe to take (see MinPatienceRows).
+  if (Obj.numRows() < solver::MinPatienceRows)
+    SolveOpts.Patience = 0;
   Obj.setThreadPool(P);
   Result.SolverStats = Obj.stats();
   Result.SolverTier = Obj.tier();
@@ -531,8 +539,8 @@ PipelineResult Session::solve() {
   // Fold solver guard activity into the run health report.
   Health.SolverNonFiniteSteps = Result.Solve.NonFiniteSteps;
   Health.SolverRecoveries = Result.Solve.Recoveries;
-  Health.SolverFellBack = Result.Solve.FellBack;
-  if (Result.Solve.DeadlineExpired && !Health.DeadlineExpired) {
+  Health.SolverFellBack = Result.Solve.fellBack();
+  if (Result.Solve.deadlineExpired() && !Health.DeadlineExpired) {
     Health.DeadlineExpired = true;
     Health.DeadlineStage = phaseName(Phase::Solve);
   }
@@ -550,7 +558,10 @@ PipelineResult Session::solve() {
     Reg.gauge("solver.simd_tier")
         .set(static_cast<double>(Result.SolverTier));
     Reg.gauge("solve.final_objective").set(Result.Solve.FinalObjective);
-    Reg.gauge("solve.converged").set(Result.Solve.Converged ? 1.0 : 0.0);
+    Reg.gauge("solve.stop_reason")
+        .set(static_cast<double>(Result.Solve.Stop));
+    Reg.gauge("solve.best_iteration")
+        .set(static_cast<double>(Result.Solve.BestIteration));
     Reg.gauge("incr.warm_start").set(Incr.WarmStarted ? 1.0 : 0.0);
     if (Result.UsedFeedback) {
       Reg.gauge("feedback.matched")

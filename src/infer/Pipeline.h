@@ -156,7 +156,11 @@ struct PipelineResult {
   size_t NumFiles = 0;
   double BuildSeconds = 0.0;
   double GenSeconds = 0.0;
+  /// The whole solve stage: constraint compilation plus the iterations.
   double SolveSeconds = 0.0;
+  /// The one-time compilation part of SolveSeconds (constraints to the
+  /// blocked kernel's layout); the rest is optimizer iterations.
+  double CompileSeconds = 0.0;
 
   /// What the compilation pass did (rows coalesced, CSR non-zeros), and
   /// the kernel tier the blocked solver dispatched to. Every tier computes

@@ -434,7 +434,8 @@ std::string Service::opStatus() {
       "\"edges\":%zu},"
       "\"system\":{\"candidates\":%zu,\"constraints\":%zu},"
       "\"spec\":{\"size\":%zu,\"threshold\":%s},"
-      "\"solve\":{\"iterations\":%d,\"converged\":%s},"
+      "\"solve\":{\"iterations\":%d,\"stop_reason\":\"%s\","
+      "\"best_iteration\":%d},"
       "\"health\":{\"status\":\"%s\",\"quarantined\":%zu},"
       "\"cache\":{\"enabled\":%s,\"hits\":%llu,\"misses\":%llu,"
       "\"stores\":%llu},"
@@ -446,7 +447,7 @@ std::string Service::opStatus() {
       Warm.System.NumCandidates, Warm.System.Constraints.size(),
       Warm.Learned.size(),
       renderJsonNumber(Opts.Threshold).c_str(), Warm.Solve.Iterations,
-      Warm.Solve.Converged ? "true" : "false",
+      solver::stopReasonName(Warm.Solve.Stop), Warm.Solve.BestIteration,
       infer::runStatusName(Warm.Health.status()),
       Warm.Health.Quarantined.size(),
       Warm.UsedCache ? "true" : "false",
@@ -514,15 +515,17 @@ std::string Service::opLearn(const Request &Req, Deadline &D) {
   }
   maybeSnapshot();
   return formatString(
-      "{\"iterations\":%d,\"converged\":%s,\"constraints\":%zu,"
+      "{\"iterations\":%d,\"stop_reason\":\"%s\","
+      "\"best_iteration\":%d,\"constraints\":%zu,"
       "\"candidates\":%zu,\"spec_size\":%zu,\"warm_started\":%s,"
       "\"simd_tier\":%d,"
       "\"incremental\":{\"shards_hit\":%llu,\"shards_rebuilt\":%llu,"
       "\"warm_start\":%s},"
       "\"health\":\"%s\"}",
-      Warm.Solve.Iterations, Warm.Solve.Converged ? "true" : "false",
-      Warm.System.Constraints.size(), Warm.System.NumCandidates,
-      Warm.Learned.size(), WarmStart ? "true" : "false",
+      Warm.Solve.Iterations, solver::stopReasonName(Warm.Solve.Stop),
+      Warm.Solve.BestIteration, Warm.System.Constraints.size(),
+      Warm.System.NumCandidates, Warm.Learned.size(),
+      WarmStart ? "true" : "false",
       static_cast<int>(Warm.SolverTier),
       static_cast<unsigned long long>(Warm.Incr.ShardsHit),
       static_cast<unsigned long long>(Warm.Incr.ShardsRebuilt),
@@ -577,12 +580,14 @@ std::string Service::opFeedback(const Request &Req, Deadline &D) {
       "{\"accepted\":%zu,\"rejected\":%zu,\"total_feedback\":%zu,"
       "\"matched\":%zu,\"unmatched\":%zu,\"evidence_rows\":%zu,"
       "\"propagated_rows\":%zu,"
-      "\"iterations\":%d,\"converged\":%s,\"spec_size\":%zu,"
+      "\"iterations\":%d,\"stop_reason\":\"%s\","
+      "\"best_iteration\":%d,\"spec_size\":%zu,"
       "\"warm_started\":%s}",
       Accepted, Rejected, Feedback.size(), Warm.Feedback.Matched,
       Warm.Feedback.Unmatched, Warm.Feedback.EvidenceRows,
       Warm.Feedback.PropagatedRows, Warm.Solve.Iterations,
-      Warm.Solve.Converged ? "true" : "false", Warm.Learned.size(),
+      solver::stopReasonName(Warm.Solve.Stop), Warm.Solve.BestIteration,
+      Warm.Learned.size(),
       WarmStart ? "true" : "false");
 }
 

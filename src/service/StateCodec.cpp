@@ -235,12 +235,11 @@ std::string seldon::service::encodeSnapshot(const StateSnapshot &Snapshot) {
   putVarint(Payload, Snapshot.LastSeq);
   putFixed64(Payload, Snapshot.Fingerprint);
   putVarint(Payload, static_cast<uint64_t>(Snapshot.Solve.Iterations));
-  Payload.push_back(Snapshot.Solve.Converged ? 1 : 0);
+  putVarint(Payload, static_cast<uint64_t>(Snapshot.Solve.BestIteration));
+  Payload.push_back(static_cast<char>(Snapshot.Solve.Stop));
   putFixed64(Payload, doubleBits(Snapshot.Solve.FinalObjective));
   putVarint(Payload, static_cast<uint64_t>(Snapshot.Solve.NonFiniteSteps));
   putVarint(Payload, static_cast<uint64_t>(Snapshot.Solve.Recoveries));
-  Payload.push_back(Snapshot.Solve.FellBack ? 1 : 0);
-  Payload.push_back(Snapshot.Solve.DeadlineExpired ? 1 : 0);
   putVarint(Payload, Snapshot.Solve.X.size());
   for (double Score : Snapshot.Solve.X)
     putFixed64(Payload, doubleBits(Score));
@@ -304,16 +303,18 @@ seldon::service::decodeSnapshot(std::string_view Bytes) {
   Snapshot.Fingerprint = Reader.getFixed64("system fingerprint");
   Snapshot.Solve.Iterations =
       static_cast<int>(Reader.getVarint("solve iterations"));
-  Snapshot.Solve.Converged = getBool(Reader, "converged flag") != 0;
+  Snapshot.Solve.BestIteration =
+      static_cast<int>(Reader.getVarint("best iteration"));
+  uint8_t Stop = Reader.getByte("stop reason");
+  if (Reader.ok() && Stop > solver::MaxStopReason)
+    Reader.fail(formatString("stop reason byte %u is out of range", Stop));
+  Snapshot.Solve.Stop = static_cast<solver::StopReason>(Stop);
   Snapshot.Solve.FinalObjective =
       bitsDouble(Reader.getFixed64("final objective"));
   Snapshot.Solve.NonFiniteSteps =
       static_cast<int>(Reader.getVarint("non-finite steps"));
   Snapshot.Solve.Recoveries =
       static_cast<int>(Reader.getVarint("solver recoveries"));
-  Snapshot.Solve.FellBack = getBool(Reader, "fellback flag") != 0;
-  Snapshot.Solve.DeadlineExpired =
-      getBool(Reader, "deadline-expired flag") != 0;
 
   uint64_t NumScores = Reader.getVarint("score count");
   if (Reader.ok() && NumScores * 8 > Reader.remaining())

@@ -56,7 +56,9 @@ namespace service {
 /// Bump on any layout change; decoders reject other versions.
 /// Journal version 2 dropped the learn record's solver-backend byte.
 constexpr uint32_t JournalCodecVersion = 2;
-constexpr uint32_t SnapshotCodecVersion = 1;
+/// Snapshot version 2 replaced the converged byte and the fell-back and
+/// deadline flags with the best iteration and a StopReason byte.
+constexpr uint32_t SnapshotCodecVersion = 2;
 
 /// The mutating operations the journal records.
 enum class JournalOp : uint8_t {

@@ -52,7 +52,7 @@ SolveResult AdamOptimizer::minimize(const ObjT &Obj,
   // the Adam moments (stale momentum would relaunch the iterate toward
   // the region that produced the NaN/Inf), halve the step scale, and
   // re-evaluate. Bounded by MaxRecoveries; when the ladder runs dry the
-  // solve falls back to best-so-far with FellBack set.
+  // solve falls back to best-so-far (StopReason::FellBack).
   auto Recover = [&](int Iter) -> bool {
     ++Result.NonFiniteSteps;
     if (!std::isfinite(BestValue)) // Poisoned initial evaluation: the
@@ -70,7 +70,7 @@ SolveResult AdamOptimizer::minimize(const ObjT &Obj,
         return true;
       ++Result.NonFiniteSteps;
     }
-    Result.FellBack = true;
+    Result.Stop = StopReason::FellBack;
     return false;
   };
 
@@ -85,7 +85,7 @@ SolveResult AdamOptimizer::minimize(const ObjT &Obj,
     if ((Options.ShouldStop && Options.ShouldStop()) ||
         (Options.BudgetSeconds > 0 &&
          Budget.seconds() >= Options.BudgetSeconds)) {
-      Result.DeadlineExpired = true;
+      Result.Stop = StopReason::Deadline;
       break;
     }
     // Stationarity test via the projected-gradient mapping: at a solution,
@@ -102,7 +102,7 @@ SolveResult AdamOptimizer::minimize(const ObjT &Obj,
     for (size_t I = 0; I < N; ++I)
       StepNorm = std::max(StepNorm, std::abs(Mapped[I] - Result.X[I]));
     if (StepNorm < Options.Tolerance) {
-      Result.Converged = true;
+      Result.Stop = StopReason::Stationary;
       Result.Iterations = Iter;
       Telemetry.onIteration(Iter, Value, Grad);
       if (Options.OnIteration)
@@ -135,17 +135,28 @@ SolveResult AdamOptimizer::minimize(const ObjT &Obj,
     if (Value < BestValue) {
       BestValue = Value;
       Best = Result.X;
+      Result.BestIteration = Iter;
       Telemetry.onBestUpdate();
     }
     Telemetry.onIteration(Iter, Value, Grad);
     if (Options.OnIteration)
       Options.OnIteration(Iter, Value);
+    // Patience: the distance is counted in iterations, so a recovered
+    // (rolled-back) iteration counts toward it and a recovery rung never
+    // resets it — only a strictly better objective does.
+    if (Options.Patience > 0 &&
+        Iter - Result.BestIteration >= Options.Patience) {
+      Result.Stop = StopReason::Patience;
+      break;
+    }
   }
 
   // Value is the objective at the final iterate: the loop left it there
   // after the last step (or at the initial point when the loop never ran).
   // A FellBack break leaves Value non-finite, so the comparison routes to
-  // the best finite iterate.
+  // the best finite iterate. A patience stop usually lands here too: the
+  // final iterate is worse than the best, exactly as it would be after the
+  // full budget when the best came early.
   if (Value <= BestValue) {
     Result.FinalObjective = Value;
   } else {

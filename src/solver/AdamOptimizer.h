@@ -21,6 +21,13 @@
 /// Objective, whose valueAndGradient spends two sweeps — to check that the
 /// trajectories match bit for bit.
 ///
+/// The loop stops at the first of: the MaxIterations cap, the
+/// stationarity test, SolveOptions::Patience iterations without a better
+/// best iterate, the deadline, or an exhausted recovery ladder; the
+/// SolveResult names which (StopReason) and where the best came from
+/// (BestIteration). It returns the best iterate seen, so stopping after
+/// the last improvement returns the same point the full budget would.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SELDON_SOLVER_ADAMOPTIMIZER_H

@@ -11,7 +11,6 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 #include <utility>
 
 using namespace seldon;
@@ -19,60 +18,62 @@ using namespace seldon::solver;
 
 namespace {
 
-/// One canonicalized constraint: Σ Coef·Var ≤ C with variables sorted and
-/// merged. The byte image of (C, Terms) is the coalescing key.
-struct CanonicalRow {
-  std::vector<std::pair<uint32_t, double>> Terms;
-  double C = 0.0;
-};
+/// One term of a canonical row: (variable, merged coefficient).
+using CanonicalTerm = std::pair<uint32_t, double>;
 
-/// Canonicalizes one constraint: folds Rhs into Lhs with negated
-/// coefficients, sorts by variable id, merges duplicates by summing their
-/// coefficients in double (float + float is exact in double), and drops
-/// terms whose merged coefficient cancelled to exactly zero.
-CanonicalRow canonicalize(const LinearConstraint &LC) {
-  CanonicalRow Row;
-  Row.C = LC.C;
-  Row.Terms.reserve(LC.Lhs.size() + LC.Rhs.size());
+/// Canonicalizes one constraint into \p Terms (cleared first, capacity
+/// reused across rows): folds Rhs into Lhs with negated coefficients,
+/// sorts by variable id, merges duplicates by summing their coefficients
+/// in double (float + float is exact in double), and drops terms whose
+/// merged coefficient cancelled to exactly zero. A -0.0 coefficient is
+/// dropped as zero too, so the bytes of the surviving coefficients are a
+/// faithful image of their values.
+void canonicalize(const LinearConstraint &LC,
+                  std::vector<CanonicalTerm> &Terms) {
+  Terms.clear();
   for (const Term &T : LC.Lhs)
-    Row.Terms.emplace_back(T.Var, static_cast<double>(T.Coef));
+    Terms.emplace_back(T.Var, static_cast<double>(T.Coef));
   for (const Term &T : LC.Rhs)
-    Row.Terms.emplace_back(T.Var, -static_cast<double>(T.Coef));
-  std::sort(Row.Terms.begin(), Row.Terms.end(),
+    Terms.emplace_back(T.Var, -static_cast<double>(T.Coef));
+  std::sort(Terms.begin(), Terms.end(),
             [](const auto &A, const auto &B) { return A.first < B.first; });
 
   size_t Out = 0;
-  for (size_t I = 0; I < Row.Terms.size();) {
-    uint32_t Var = Row.Terms[I].first;
+  for (size_t I = 0; I < Terms.size();) {
+    uint32_t Var = Terms[I].first;
     double Sum = 0.0;
-    for (; I < Row.Terms.size() && Row.Terms[I].first == Var; ++I)
-      Sum += Row.Terms[I].second;
+    for (; I < Terms.size() && Terms[I].first == Var; ++I)
+      Sum += Terms[I].second;
     if (Sum != 0.0)
-      Row.Terms[Out++] = {Var, Sum};
+      Terms[Out++] = {Var, Sum};
   }
-  Row.Terms.resize(Out);
-  return Row;
+  Terms.resize(Out);
 }
 
-/// Byte image of a canonical row, used as the exact-duplicate key. Zero
-/// coefficients were dropped and -0.0 cannot survive merging into the
-/// image (a sum that is zero is dropped; a single term keeps its sign bit
-/// only if the source coefficient was -0.0, which canonicalize removed),
-/// so bytewise equality is value equality.
-std::string keyOf(const CanonicalRow &Row) {
-  std::string Key;
-  Key.resize(sizeof(double) + Row.Terms.size() * (sizeof(uint32_t) +
-                                                  sizeof(double)));
-  char *P = Key.data();
-  std::memcpy(P, &Row.C, sizeof(double));
-  P += sizeof(double);
-  for (const auto &[Var, Coef] : Row.Terms) {
-    std::memcpy(P, &Var, sizeof(uint32_t));
-    P += sizeof(uint32_t);
-    std::memcpy(P, &Coef, sizeof(double));
-    P += sizeof(double);
-  }
-  return Key;
+uint64_t bitsOf(double V) {
+  uint64_t Bits;
+  std::memcpy(&Bits, &V, sizeof(Bits));
+  return Bits;
+}
+
+/// 64-bit hash of a canonical row's (C, var, coefficient-bits) image.
+/// Rows equal under the coalescing rule hash equal; collisions are
+/// resolved by an exact comparison, so the hash only steers probing.
+uint64_t hashRow(double C, const std::vector<CanonicalTerm> &Terms) {
+  constexpr uint64_t K = 0x9E3779B97F4A7C15ull;
+  auto Mix = [](uint64_t H, uint64_t W) {
+    return ((H << 5 | H >> 59) ^ W) * K;
+  };
+  uint64_t H = Mix(Terms.size(), bitsOf(C));
+  for (const auto &[Var, Coef] : Terms)
+    H = Mix(Mix(H, Var), bitsOf(Coef));
+  // Final avalanche (MurmurHash3 fmix64): probing uses the low bits.
+  H ^= H >> 33;
+  H *= 0xFF51AFD7ED558CCDull;
+  H ^= H >> 33;
+  H *= 0xC4CEB9FE1A85EC53ull;
+  H ^= H >> 33;
+  return H;
 }
 
 /// RowBegin/VarIdx are uint32_t; a corpus past ~4.29B rows or non-zeros
@@ -98,45 +99,94 @@ CompiledObjective::CompiledObjective(
     : NumVars(NumVars), Lambda(Lambda), Pinned(NumVars, 0),
       PinnedValues(NumVars, 0.0) {
   Stats.RowsBefore = Constraints.size();
+  for (const LinearConstraint &LC : Constraints)
+    Stats.TermsBefore += LC.Lhs.size() + LC.Rhs.size();
+  // Upper bounds (no coalescing, no merged terms): the arrays never
+  // reallocate, and capacity past what is written is never touched.
+  RowBegin.reserve(Constraints.size() + 1);
+  C.reserve(Constraints.size());
+  Weight.reserve(Constraints.size());
+  VarIdx.reserve(Stats.TermsBefore);
+  Coef.reserve(Stats.TermsBefore);
 
   // Coalesce canonically-identical constraints, keeping survivors in
   // first-occurrence order so the row layout is deterministic and mirrors
-  // the legacy constraint order.
-  std::unordered_map<std::string, uint32_t> RowIndex;
-  RowIndex.reserve(Constraints.size());
+  // the legacy constraint order. The index is an open-addressed table
+  // with at least twice as many slots as there are constraints (load
+  // factor <= 1/2); a slot holds the row's hash tag in its high half and
+  // row id + 1 in its low half (0 = empty), and a tag match is confirmed
+  // against the row already emitted into the CSR arrays.
+  size_t Slots = 16;
+  while (Slots < 2 * Constraints.size())
+    Slots *= 2;
+  std::vector<uint64_t> Table(Slots, 0);
+  const uint64_t SlotMask = Slots - 1;
+  std::vector<CanonicalTerm> Terms;
+  // Exact duplicate test against emitted row \p Row. Bytewise, like the
+  // byte-image key it replaces: coefficients and constants compare by
+  // their bits, never by floating-point ==.
+  auto RowEquals = [&](uint32_t Row, double RowC) {
+    const uint32_t Begin = RowBegin[Row], End = RowBegin[Row + 1];
+    if (End - Begin != Terms.size() || bitsOf(C[Row]) != bitsOf(RowC))
+      return false;
+    for (size_t I = 0; I < Terms.size(); ++I)
+      if (VarIdx[Begin + I] != Terms[I].first ||
+          bitsOf(Coef[Begin + I]) != bitsOf(Terms[I].second))
+        return false;
+    return true;
+  };
   RowBegin.push_back(0);
   const uint64_t IndexLimit = csrIndexLimit();
-  for (const LinearConstraint &LC : Constraints) {
-    Stats.TermsBefore += LC.Lhs.size() + LC.Rhs.size();
-    CanonicalRow Row = canonicalize(LC);
+  // Each constraint's terms live in their own heap blocks; fetching a few
+  // constraints ahead hides most of that pointer-chasing latency.
+  constexpr size_t PrefetchAhead = 8;
+  for (size_t Index = 0; Index < Constraints.size(); ++Index) {
+    if (Index + PrefetchAhead < Constraints.size()) {
+      const LinearConstraint &Ahead = Constraints[Index + PrefetchAhead];
+      __builtin_prefetch(Ahead.Lhs.data());
+      __builtin_prefetch(Ahead.Rhs.data());
+    }
+    const LinearConstraint &LC = Constraints[Index];
+    canonicalize(LC, Terms);
 #ifndef NDEBUG
-    for (const auto &[Var, CoefV] : Row.Terms) {
+    for (const auto &[Var, CoefV] : Terms) {
       (void)CoefV;
       assert(Var < NumVars && "constraint references unknown variable");
     }
 #endif
-    auto [It, Inserted] =
-        RowIndex.emplace(keyOf(Row), static_cast<uint32_t>(C.size()));
-    if (!Inserted) {
-      Weight[It->second] += 1.0;
-      continue;
+    const uint64_t Hash = hashRow(LC.C, Terms);
+    const uint64_t Tag = Hash & 0xFFFFFFFF00000000ull;
+    uint64_t Slot = Hash & SlotMask;
+    bool Duplicate = false;
+    for (; Table[Slot] != 0; Slot = (Slot + 1) & SlotMask) {
+      if ((Table[Slot] & 0xFFFFFFFF00000000ull) != Tag)
+        continue;
+      uint32_t Row = static_cast<uint32_t>(Table[Slot]) - 1;
+      if (RowEquals(Row, LC.C)) {
+        Weight[Row] += 1.0;
+        Duplicate = true;
+        break;
+      }
     }
+    if (Duplicate)
+      continue;
     if (static_cast<uint64_t>(C.size()) >= IndexLimit ||
-        static_cast<uint64_t>(VarIdx.size()) + Row.Terms.size() > IndexLimit)
+        static_cast<uint64_t>(VarIdx.size()) + Terms.size() > IndexLimit)
       throw std::runtime_error(
           "constraint system overflows the 32-bit CSR layout: " +
           std::to_string(C.size() + 1) + " coalesced rows / " +
-          std::to_string(VarIdx.size() + Row.Terms.size()) +
+          std::to_string(VarIdx.size() + Terms.size()) +
           " non-zeros exceed the index limit of " +
           std::to_string(IndexLimit) +
           "; split the corpus into smaller solves");
-    for (const auto &[Var, CoefV] : Row.Terms) {
+    Table[Slot] = Tag | (static_cast<uint64_t>(C.size()) + 1);
+    for (const auto &[Var, CoefV] : Terms) {
       VarIdx.push_back(Var);
       Coef.push_back(CoefV);
     }
     RowBegin.push_back(static_cast<uint32_t>(VarIdx.size()));
     Weight.push_back(1.0);
-    C.push_back(Row.C);
+    C.push_back(LC.C);
   }
   Stats.RowsAfter = C.size();
   Stats.NonZeros = VarIdx.size();

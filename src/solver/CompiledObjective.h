@@ -21,8 +21,10 @@
 ///
 ///  2. **Coalescing.** Big-code corpora instantiate the same (rep, role)
 ///     inequality thousands of times across files; canonically-identical
-///     rows collapse into one row with an integer multiplicity. This is
-///     exact: K identical hinges sum to K · max(0, V).
+///     rows (equal constant and coefficients, bit for bit) collapse into
+///     one row with an integer multiplicity. This is exact: K identical
+///     hinges sum to K · max(0, V). Duplicates are found through an
+///     open-addressed hash table of row ids, with no per-row allocation.
 ///
 ///  3. **CSR layout.** Survivors are stored in flat RowBegin / VarIdx /
 ///     Coef / Weight / C arrays — no per-constraint heap vectors, one

@@ -163,3 +163,19 @@ void Objective::project(std::vector<double> &X) const {
       X[V] = std::clamp(X[V], 0.0, 1.0);
   }
 }
+
+const char *seldon::solver::stopReasonName(StopReason Reason) {
+  switch (Reason) {
+  case StopReason::Stationary:
+    return "stationary";
+  case StopReason::Patience:
+    return "patience";
+  case StopReason::MaxIters:
+    return "max_iters";
+  case StopReason::Deadline:
+    return "deadline";
+  case StopReason::FellBack:
+    return "fell_back";
+  }
+  return "unknown";
+}

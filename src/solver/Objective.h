@@ -157,28 +157,56 @@ enum class SolverBackend {
   Compiled,
 };
 
+/// Default for SolveOptions::Patience. On generated corpora of 300 and
+/// 1200 projects the best iterate of a 600-iteration solve stopped
+/// improving by iteration 140, and no two consecutive improvements were
+/// more than 38 iterations apart; 100 leaves a wide margin over that gap.
+constexpr int DefaultPatience = 100;
+
+/// Session::solve applies the patience stop only to systems with at least
+/// this many coalesced rows. Below it, Adam's best iterate keeps improving
+/// in rare late dips for the whole budget: with patience 100 against a
+/// full 600-iteration reference, about half of 60-project corpora (~6k
+/// rows) and a quarter of 90-project ones (~11k) ended on a different
+/// point, and one of 60 150-project corpora (~22k) did; none of the 82
+/// measured corpora of 175 projects (~26k rows) or more did. Solves below
+/// the threshold are cheap, so they keep the full budget.
+constexpr size_t MinPatienceRows = 25000;
+
 /// Shared optimizer knobs and results.
 struct SolveOptions {
+  /// Iteration cap. AdamOptimizer may stop earlier (see Patience).
   int MaxIterations = 500;
   double LearningRate = 0.05;
   /// Stationarity threshold. AdamOptimizer stops once the max-norm of a
   /// projected gradient step, |P(X − LearningRate·∇) − X|∞, falls below
   /// it; ProjectedGradient stops once two successive objective values
-  /// differ by less.
+  /// differ by less. Both stop with StopReason::Stationary. A hinge
+  /// subgradient rarely gets that small away from the box boundary, so on
+  /// real corpora AdamOptimizer's stop is Patience, not this test.
   double Tolerance = 1e-7;
+  /// AdamOptimizer stops with StopReason::Patience once the best iterate
+  /// has not improved for this many consecutive iterations. The returned
+  /// point is the best iterate either way, so a stop that comes after the
+  /// last improvement a full-budget run would make returns the same X bit
+  /// for bit. 0 disables the rule (full-budget reference solves in tests
+  /// and benches); Session::solve also sets 0 for systems below
+  /// MinPatienceRows. ProjectedGradient ignores it.
+  int Patience = DefaultPatience;
   /// Adam moment decay rates.
   double Beta1 = 0.9;
   double Beta2 = 0.999;
   double Epsilon = 1e-8;
   /// Wall-clock budget for the whole minimize() call; 0 is unlimited.
   /// Checked cooperatively once per iteration: an expired budget stops the
-  /// loop and returns the best iterate so far with DeadlineExpired set —
+  /// loop and returns the best iterate so far with StopReason::Deadline —
   /// partial and flagged, never a hang.
   double BudgetSeconds = 0.0;
   /// Bound on the non-finite recovery ladder (see docs/architecture.md
   /// "Failure discipline"): each recovery reverts to the best finite
   /// iterate, resets the Adam moments, and halves the step scale. Once
-  /// exhausted the solve falls back to best-so-far with FellBack set.
+  /// exhausted the solve falls back to best-so-far with
+  /// StopReason::FellBack.
   int MaxRecoveries = 8;
   /// Cooperative cancellation, polled once per iteration (run-level
   /// deadline). Returning true stops the loop like an expired budget.
@@ -199,11 +227,31 @@ struct SolveOptions {
   SolverBackend Backend = SolverBackend::Compiled;
 };
 
+/// Why a minimize() call stopped. The numeric values are the
+/// `solve.stop_reason` gauge and the seldond snapshot's stop byte.
+enum class StopReason : uint8_t {
+  Stationary = 0, ///< The stationarity test fired (see Tolerance).
+  Patience = 1,   ///< No best-iterate improvement for Patience iterations.
+  MaxIters = 2,   ///< Ran the full MaxIterations cap.
+  Deadline = 3,   ///< BudgetSeconds or ShouldStop ended the loop.
+  FellBack = 4,   ///< The non-finite recovery ladder ran dry.
+};
+
+/// The largest StopReason value (decoders reject anything above it).
+constexpr uint8_t MaxStopReason = static_cast<uint8_t>(StopReason::FellBack);
+
+/// Printable name: stationary | patience | max_iters | deadline | fell_back.
+const char *stopReasonName(StopReason Reason);
+
 struct SolveResult {
   std::vector<double> X;
   double FinalObjective = 0.0;
   int Iterations = 0;
-  bool Converged = false;
+  /// The iteration that last improved the best objective value (0 = the
+  /// starting point). X is that iterate, unless the final iterate ties
+  /// its value, in which case X is the final iterate.
+  int BestIteration = 0;
+  StopReason Stop = StopReason::MaxIters;
 
   /// Evaluations whose objective value or gradient came back non-finite
   /// (NaN/Inf). Zero on a healthy run — the guards never change the
@@ -212,11 +260,12 @@ struct SolveResult {
   /// Recovery-ladder rungs taken (revert + moment reset + step backoff)
   /// that produced a finite re-evaluation.
   int Recoveries = 0;
+
   /// The ladder ran dry: the result is the best finite iterate seen (or
   /// the projected initial point when nothing ever evaluated finite).
-  bool FellBack = false;
-  /// BudgetSeconds or ShouldStop ended the loop before convergence.
-  bool DeadlineExpired = false;
+  bool fellBack() const { return Stop == StopReason::FellBack; }
+  /// BudgetSeconds or ShouldStop ended the loop early.
+  bool deadlineExpired() const { return Stop == StopReason::Deadline; }
 };
 
 } // namespace solver

@@ -62,7 +62,7 @@ SolveResult ProjectedGradient::minimize(const ObjT &Obj,
       }
       ++Result.NonFiniteSteps;
     }
-    Result.FellBack = true;
+    Result.Stop = StopReason::FellBack;
     return false;
   };
 
@@ -75,7 +75,7 @@ SolveResult ProjectedGradient::minimize(const ObjT &Obj,
     if ((Options.ShouldStop && Options.ShouldStop()) ||
         (Options.BudgetSeconds > 0 &&
          Budget.seconds() >= Options.BudgetSeconds)) {
-      Result.DeadlineExpired = true;
+      Result.Stop = StopReason::Deadline;
       break;
     }
     double Step = StepScale * (Options.LearningRate /
@@ -97,13 +97,14 @@ SolveResult ProjectedGradient::minimize(const ObjT &Obj,
     if (Current < BestValue) {
       BestValue = Current;
       Best = Result.X;
+      Result.BestIteration = Iter;
       Telemetry.onBestUpdate();
     }
     Telemetry.onIteration(Iter, Current, Grad);
     if (Options.OnIteration)
       Options.OnIteration(Iter, Current);
     if (std::abs(PrevValue - Current) < Options.Tolerance) {
-      Result.Converged = true;
+      Result.Stop = StopReason::Stationary;
       break;
     }
     PrevValue = Current;

@@ -8,7 +8,6 @@
 #include <cassert>
 #include <cstdlib>
 #include <cstring>
-#include <numeric>
 
 #if defined(__x86_64__) || defined(__i386__)
 #include <immintrin.h>
@@ -236,37 +235,64 @@ void SimdObjective::buildBlocks() {
     for (uint32_t K = RB[R]; K < RB[R + 1]; ++K)
       SWC[K] = WT[R] * CO[K];
 
+  auto RowLen = [&](uint32_t Row) { return RB[Row + 1] - RB[Row]; };
+  uint32_t MaxLen = 0;
+  for (uint32_t R = 0; R < NumRows; ++R)
+    MaxLen = std::max(MaxLen, RowLen(R));
+
   // Same shard partitioning rule as Objective/CompiledObjective: a
   // function of the row count only, so the shard-order reduction matches
   // the compiled path bit for bit at every Jobs setting.
+  //
+  // Within a shard, rows are ordered by descending length, equal lengths
+  // in original order: rows of similar length share a block, minimizing
+  // the padding a block's widest lane imposes on the others. Lengths are
+  // small integers, so a counting sort produces that stable order in
+  // linear time.
   const size_t Size =
       std::max(MinShardSize, (NumRows + MaxShards - 1) / MaxShards);
+  std::vector<uint32_t> Order(NumRows);
+  std::vector<size_t> Next(static_cast<size_t>(MaxLen) + 1);
+  size_t NumBlocks = 0, Entries = 0;
   for (size_t Begin = 0; Begin < NumRows; Begin += Size) {
     Shard S;
     S.Begin = Begin;
     S.End = std::min(NumRows, Begin + Size);
+    std::fill(Next.begin(), Next.end(), 0);
+    for (size_t R = S.Begin; R < S.End; ++R)
+      ++Next[RowLen(static_cast<uint32_t>(R))];
+    size_t Pos = S.Begin;
+    for (size_t Len = Next.size(); Len-- > 0;) {
+      size_t Count = Next[Len];
+      Next[Len] = Pos;
+      Pos += Count;
+    }
+    for (size_t R = S.Begin; R < S.End; ++R)
+      Order[Next[RowLen(static_cast<uint32_t>(R))]++] =
+          static_cast<uint32_t>(R);
+    // Sorted: each block's first lane is its widest row.
+    for (size_t I = S.Begin; I < S.End; I += L, ++NumBlocks)
+      Entries += static_cast<size_t>(RowLen(Order[I])) * L;
+    Shards.push_back(S);
+  }
+
+  BlockOff.reserve(NumBlocks);
+  BlockWidth.reserve(NumBlocks);
+  BlockRows.reserve(NumBlocks * L);
+  BNegC.reserve(NumBlocks * L);
+  BW.reserve(NumBlocks * L);
+  BIdx.assign(Entries, 0);
+  BVal.assign(Entries, 0.0);
+  size_t Off = 0;
+  for (Shard &S : Shards) {
     S.BlockBegin = BlockWidth.size();
-
-    // Stable sort by descending row length: rows of similar length share
-    // a block, minimizing the padding a block's widest lane imposes on
-    // the others. Stability keeps equal-length rows in original order.
-    std::vector<uint32_t> Order(S.End - S.Begin);
-    std::iota(Order.begin(), Order.end(), static_cast<uint32_t>(S.Begin));
-    std::stable_sort(Order.begin(), Order.end(),
-                     [&](uint32_t A, uint32_t B) {
-                       return RB[A + 1] - RB[A] > RB[B + 1] - RB[B];
-                     });
-
-    for (size_t I = 0; I < Order.size(); I += L) {
-      const uint32_t Widest = Order[I]; // Sorted: lane 0 is the longest.
-      const uint32_t W = RB[Widest + 1] - RB[Widest];
+    for (size_t I = S.Begin; I < S.End; I += L) {
+      const uint32_t W = RowLen(Order[I]);
       BlockWidth.push_back(W);
-      BlockOff.push_back(BIdx.size());
-      BIdx.resize(BIdx.size() + static_cast<size_t>(W) * L, 0);
-      BVal.resize(BIdx.size(), 0.0);
+      BlockOff.push_back(Off);
       for (size_t Lane = 0; Lane < L; ++Lane) {
         const size_t Slot = I + Lane;
-        if (Slot >= Order.size()) {
+        if (Slot >= S.End) {
           BlockRows.push_back(Sentinel);
           BNegC.push_back(0.0);
           BW.push_back(0.0);
@@ -276,17 +302,16 @@ void SimdObjective::buildBlocks() {
         BlockRows.push_back(Row);
         BNegC.push_back(-RC[Row]);
         BW.push_back(WT[Row]);
-        const uint32_t Len = RB[Row + 1] - RB[Row];
+        const uint32_t Len = RowLen(Row);
         for (uint32_t J = 0; J < Len; ++J) {
-          const size_t At = BlockOff.back() + static_cast<size_t>(J) * L +
-                            Lane;
+          const size_t At = Off + static_cast<size_t>(J) * L + Lane;
           BIdx[At] = VI[RB[Row] + J];
           BVal[At] = CO[RB[Row] + J];
         }
       }
+      Off += static_cast<size_t>(W) * L;
     }
     S.BlockEnd = BlockWidth.size();
-    Shards.push_back(S);
   }
 }
 

@@ -216,8 +216,49 @@ TEST_F(CliTest, MetricsJsonOutput) {
   for (const char *Key :
        {"\"session/parse\"", "\"session/constraints\"", "\"session/solve\"",
         "\"parse.files\"", "\"solve.iterations\"", "\"solver.rows_after\"",
-        "\"solver.simd_tier\"", "\"solve.objective\""})
+        "\"solver.simd_tier\"", "\"solve.objective\"",
+        "\"session/solve/compile\"", "\"solver.compile_seconds\"",
+        "\"solve.stop_reason\"", "\"solve.best_iteration\""})
     EXPECT_NE(Json.find(Key), std::string::npos) << "missing " << Key;
+  EXPECT_EQ(Json.find("solve.converged"), std::string::npos) << Json;
+}
+
+TEST_F(CliTest, SolverStatsSplitCompileFromIterations) {
+  // The one-time compile is reported on its own; ms/iteration covers only
+  // the iterations, and the line names why the solve stopped.
+  CommandResult R = runCli("learn --iters 40 --solver-stats " + repo());
+  EXPECT_EQ(R.ExitCode, 0) << R.Output;
+  size_t At = R.Output.find("solver: compile ");
+  ASSERT_NE(At, std::string::npos) << R.Output;
+  std::string Line = R.Output.substr(At, R.Output.find('\n', At) - At);
+  double CompileMs = -1, IterMs = -1;
+  int Iters = -1, Best = -1;
+  char Reason[32] = {0};
+  ASSERT_EQ(std::sscanf(Line.c_str(),
+                        "solver: compile %lf ms, %lf ms/iteration over %d "
+                        "iteration(s), stopped: %31[a-z_] (best at %d)",
+                        &CompileMs, &IterMs, &Iters, Reason, &Best),
+            5)
+      << Line;
+  EXPECT_GE(CompileMs, 0.0);
+  EXPECT_GE(IterMs, 0.0);
+  EXPECT_GE(Iters, 1);
+  EXPECT_LE(Iters, 40);
+  EXPECT_LE(Best, Iters);
+  const std::string Why = Reason;
+  // A tiny system keeps the full budget unless the step vanishes.
+  EXPECT_TRUE(Why == "max_iters" || Why == "stationary") << Line;
+}
+
+TEST_F(CliTest, HelpDescribesTheIterationCapAndTheGraphCache) {
+  CommandResult R = runCli("--help");
+  EXPECT_EQ(R.ExitCode, 0);
+  EXPECT_NE(R.Output.find("solver iteration cap (default 600)"),
+            std::string::npos)
+      << R.Output;
+  EXPECT_NE(R.Output.find("skip graph build"), std::string::npos)
+      << R.Output;
+  EXPECT_EQ(R.Output.find("skip parsing"), std::string::npos) << R.Output;
 }
 
 TEST_F(CliTest, SolverStatsNameTheDispatchedTier) {

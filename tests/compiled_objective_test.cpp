@@ -20,8 +20,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <random>
 #include <stdexcept>
 #include <string>
@@ -356,7 +358,7 @@ TEST(CompiledEquivalenceTest, FullAdamTrajectoryMatchesLegacy) {
     SolveResult RL = runAdam(Legacy);
     SolveResult RC = runAdam(Compiled);
     EXPECT_EQ(RL.Iterations, RC.Iterations);
-    EXPECT_EQ(RL.Converged, RC.Converged);
+    EXPECT_EQ(RL.Stop, RC.Stop);
     EXPECT_TRUE(bitwiseEqual(RL.X, RC.X)) << "seed " << Seed;
     EXPECT_NEAR(RL.FinalObjective, RC.FinalObjective,
                 1e-12 * std::abs(RL.FinalObjective));
@@ -406,6 +408,215 @@ TEST(CompiledEquivalenceTest, WarmStartTrajectoryMatchesLegacy) {
   EXPECT_TRUE(bitwiseEqual(RL.X, RC.X));
 }
 
+//===----------------------------------------------------------------------===//
+// Coalescing edge cases
+//===----------------------------------------------------------------------===//
+
+/// Values and gradients at grid points must match the legacy oracle bit
+/// for bit (every sum is exact there, so order and coalescing cannot
+/// matter), and the fused kernel must agree with its split evaluators.
+void expectMatchesOracle(const Objective &Legacy,
+                         const CompiledObjective &Compiled, uint32_t Seed) {
+  std::mt19937 Rng(Seed);
+  for (int Trial = 0; Trial < 8; ++Trial) {
+    std::vector<double> X = gridPoint(Rng, Legacy.numVars());
+    Legacy.project(X);
+    EXPECT_EQ(Legacy.value(X), Compiled.value(X)) << "trial " << Trial;
+    std::vector<double> GradL, GradC;
+    Legacy.gradient(X, GradL);
+    EXPECT_EQ(Compiled.valueAndGradient(X, GradC), Compiled.value(X));
+    EXPECT_TRUE(bitwiseEqual(GradL, GradC)) << "trial " << Trial;
+  }
+}
+
+LinearConstraint row(std::vector<Term> Lhs, std::vector<Term> Rhs,
+                     double C) {
+  LinearConstraint LC;
+  LC.Lhs = std::move(Lhs);
+  LC.Rhs = std::move(Rhs);
+  LC.C = C;
+  return LC;
+}
+
+TEST(CompileCoalesceTest, RowsThatDifferOnlyInTheConstantStaySeparate) {
+  // Same terms, three constants — including 0.0 and -0.0, which compare
+  // equal as doubles but not as bytes: the key is the byte image, so they
+  // stay two rows (each evaluates identically, so this costs a row, never
+  // a wrong value).
+  LinearConstraint A = row({{0, 0.5f}}, {{1, 0.25f}}, 0.25);
+  LinearConstraint B = row({{0, 0.5f}}, {{1, 0.25f}}, 0.5);
+  LinearConstraint Z = row({{0, 0.5f}}, {{1, 0.25f}}, 0.0);
+  LinearConstraint NZ = row({{0, 0.5f}}, {{1, 0.25f}}, -0.0);
+  Objective Legacy(2, {A, B, A, Z, NZ, Z}, 0.1);
+  CompiledObjective Compiled = CompiledObjective::compile(Legacy);
+  ASSERT_EQ(Compiled.numRows(), 4u);
+  EXPECT_EQ(Compiled.weight(), (std::vector<double>{2.0, 1.0, 2.0, 1.0}));
+  EXPECT_EQ(Compiled.rowConstant()[0], 0.25); // First-occurrence order.
+  EXPECT_EQ(Compiled.rowConstant()[1], 0.5);
+  EXPECT_FALSE(std::signbit(Compiled.rowConstant()[2]));
+  EXPECT_TRUE(std::signbit(Compiled.rowConstant()[3]));
+  expectMatchesOracle(Legacy, Compiled, 1);
+}
+
+TEST(CompileCoalesceTest, CoefficientsOneUlpApartStaySeparate) {
+  const float Half = 0.5f;
+  const float NextHalf = std::nextafter(Half, 1.0f);
+  LinearConstraint A = row({{0, Half}, {1, 1.0f}}, {}, 0.25);
+  LinearConstraint B = row({{0, NextHalf}, {1, 1.0f}}, {}, 0.25);
+  Objective Legacy(2, {A, B, B, A, A}, 0.1);
+  CompiledObjective Compiled = CompiledObjective::compile(Legacy);
+  ASSERT_EQ(Compiled.numRows(), 2u);
+  EXPECT_EQ(Compiled.weight(), (std::vector<double>{3.0, 2.0}));
+  EXPECT_EQ(Compiled.coef()[0], static_cast<double>(Half));
+  EXPECT_EQ(Compiled.coef()[2], static_cast<double>(NextHalf));
+  expectMatchesOracle(Legacy, Compiled, 2);
+}
+
+TEST(CompileCoalesceTest, TermsThatCancelToZeroVanishBeforeKeying) {
+  // x0 + 0.5·x1 <= 0.5·x1 + 0.25 is x0 <= 0.25, and coalesces with it.
+  // A row whose every term cancels keeps only its constant: an empty row
+  // that is violated by −C whenever C is negative.
+  LinearConstraint Cancelled = row({{0, 1.0f}, {1, 0.5f}}, {{1, 0.5f}}, 0.25);
+  LinearConstraint Plain = row({{0, 1.0f}}, {}, 0.25);
+  LinearConstraint Empty = row({{1, 0.75f}}, {{1, 0.75f}}, -0.5);
+  LinearConstraint SignedZero = row({{0, -0.0f}, {1, 0.25f}}, {}, 0.25);
+  LinearConstraint JustX1 = row({{1, 0.25f}}, {}, 0.25);
+  Objective Legacy(2, {Cancelled, Empty, Plain, SignedZero, Empty, JustX1},
+                   0.1);
+  CompiledObjective Compiled = CompiledObjective::compile(Legacy);
+  ASSERT_EQ(Compiled.numRows(), 3u);
+  EXPECT_EQ(Compiled.rowBegin(), (std::vector<uint32_t>{0, 1, 1, 2}));
+  EXPECT_EQ(Compiled.varIdx(), (std::vector<uint32_t>{0, 1}));
+  EXPECT_EQ(Compiled.weight(), (std::vector<double>{2.0, 2.0, 2.0}));
+  EXPECT_EQ(Compiled.hingeLoss({0.0, 0.0}), 2 * 0.5);
+  expectMatchesOracle(Legacy, Compiled, 3);
+}
+
+TEST(CompileCoalesceTest, ReorderedAndRepeatedTermsCoalesce) {
+  // 0.25·x1 + 0.5·x0 + 0.25·x1 merges to 0.5·x0 + 0.5·x1; Rhs terms fold
+  // in wherever they appear.
+  LinearConstraint A = row({{0, 0.5f}, {1, 0.5f}}, {{2, 1.0f}}, 0.0);
+  LinearConstraint B =
+      row({{1, 0.25f}, {0, 0.5f}, {1, 0.25f}}, {{2, 1.0f}}, 0.0);
+  LinearConstraint C = row({{1, 0.5f}}, {{2, 0.5f}, {2, 0.5f}}, 0.0);
+  LinearConstraint D = row({{1, 0.5f}, {0, 0.5f}}, {{2, 1.0f}}, 0.0);
+  Objective Legacy(3, {A, B, C, D}, 0.1);
+  CompiledObjective Compiled = CompiledObjective::compile(Legacy);
+  ASSERT_EQ(Compiled.numRows(), 2u);
+  EXPECT_EQ(Compiled.weight(), (std::vector<double>{3.0, 1.0}));
+  EXPECT_EQ(Compiled.varIdx(), (std::vector<uint32_t>{0, 1, 2, 1, 2}));
+  EXPECT_EQ(Compiled.coef(),
+            (std::vector<double>{0.5, 0.5, -1.0, 0.5, -1.0}));
+  expectMatchesOracle(Legacy, Compiled, 4);
+}
+
+TEST(CompileCoalesceTest, ManyTrueDuplicatesCarryTheirCountAsWeight) {
+  // Thousands of copies of three rows, interleaved with distinct ones:
+  // every copy lands on its first occurrence's row, and the weight is
+  // the exact copy count.
+  const LinearConstraint Hot[3] = {row({{0, 1.0f}}, {{1, 1.0f}}, 0.25),
+                                   row({{1, 0.5f}, {2, 0.5f}}, {}, 0.75),
+                                   row({{2, 1.0f}}, {{0, 0.25f}}, 0.0)};
+  std::vector<LinearConstraint> Rows;
+  std::vector<double> Want; // Hot-row weights in first-occurrence order.
+  size_t WantAt[3] = {3, 3, 3};
+  std::mt19937 Rng(5);
+  for (uint32_t I = 0; I < 6000; ++I) {
+    size_t Pick = Rng() % 4;
+    if (Pick == 3) {
+      // A distinct row on its own variable (ids from 3 up).
+      Rows.push_back(row({{3 + I, 1.0f}}, {}, 0.5));
+      continue;
+    }
+    Rows.push_back(Hot[Pick]);
+    if (WantAt[Pick] == 3) {
+      WantAt[Pick] = Want.size();
+      Want.push_back(0.0);
+    }
+    Want[WantAt[Pick]] += 1.0;
+  }
+  Objective Legacy(3 + 6000, Rows, 0.1);
+  CompiledObjective Compiled = CompiledObjective::compile(Legacy);
+  // Hot rows are the ones whose first variable is below 3.
+  std::vector<double> HotWeights;
+  for (size_t R = 0; R < Compiled.numRows(); ++R) {
+    if (Compiled.varIdx()[Compiled.rowBegin()[R]] < 3)
+      HotWeights.push_back(Compiled.weight()[R]);
+    else
+      EXPECT_EQ(Compiled.weight()[R], 1.0);
+  }
+  EXPECT_EQ(HotWeights, Want);
+  EXPECT_EQ(Compiled.numRows(),
+            Rows.size() - static_cast<size_t>(Want[0] + Want[1] + Want[2]) +
+                3);
+  EXPECT_EQ(Compiled.stats().MaxMultiplicity,
+            static_cast<size_t>(*std::max_element(Want.begin(), Want.end())));
+  expectMatchesOracle(Legacy, Compiled, 6);
+}
+
+/// The byte-image-keyed compile this pass replaced: a std::map from the
+/// canonical row's bytes to its row id. The hashed pass must produce the
+/// same arrays bit for bit.
+struct KeyedReference {
+  std::vector<uint32_t> RowBegin{0}, VarIdx;
+  std::vector<double> Coef, Weight, C;
+
+  explicit KeyedReference(const std::vector<LinearConstraint> &Rows) {
+    std::map<std::string, size_t> Index;
+    for (const LinearConstraint &LC : Rows) {
+      std::vector<std::pair<uint32_t, double>> Terms;
+      for (const Term &T : LC.Lhs)
+        Terms.emplace_back(T.Var, static_cast<double>(T.Coef));
+      for (const Term &T : LC.Rhs)
+        Terms.emplace_back(T.Var, -static_cast<double>(T.Coef));
+      std::sort(Terms.begin(), Terms.end(), [](const auto &A, const auto &B) {
+        return A.first < B.first;
+      });
+      std::vector<std::pair<uint32_t, double>> Merged;
+      for (size_t I = 0; I < Terms.size();) {
+        uint32_t Var = Terms[I].first;
+        double Sum = 0.0;
+        for (; I < Terms.size() && Terms[I].first == Var; ++I)
+          Sum += Terms[I].second;
+        if (Sum != 0.0)
+          Merged.emplace_back(Var, Sum);
+      }
+      std::string Key(reinterpret_cast<const char *>(&LC.C), sizeof(double));
+      for (const auto &[Var, Coef] : Merged) {
+        Key.append(reinterpret_cast<const char *>(&Var), sizeof(Var));
+        Key.append(reinterpret_cast<const char *>(&Coef), sizeof(Coef));
+      }
+      auto [It, Inserted] = Index.emplace(Key, C.size());
+      if (!Inserted) {
+        Weight[It->second] += 1.0;
+        continue;
+      }
+      for (const auto &[Var, CoefV] : Merged) {
+        VarIdx.push_back(Var);
+        Coef.push_back(CoefV);
+      }
+      RowBegin.push_back(static_cast<uint32_t>(VarIdx.size()));
+      Weight.push_back(1.0);
+      C.push_back(LC.C);
+    }
+  }
+};
+
+TEST(CompileCoalesceTest, ArraysBitwiseEqualTheByteKeyedReference) {
+  for (uint32_t Seed : {21u, 22u, 23u}) {
+    for (Objective Legacy : {randomSystem(Seed, 60, 3000),
+                             structuredSystem(Seed, 200, 20000)}) {
+      CompiledObjective Compiled = CompiledObjective::compile(Legacy);
+      KeyedReference Ref(Legacy.constraints());
+      EXPECT_EQ(Compiled.rowBegin(), Ref.RowBegin) << "seed " << Seed;
+      EXPECT_EQ(Compiled.varIdx(), Ref.VarIdx) << "seed " << Seed;
+      EXPECT_TRUE(bitwiseEqual(Compiled.coef(), Ref.Coef)) << "seed " << Seed;
+      EXPECT_TRUE(bitwiseEqual(Compiled.weight(), Ref.Weight));
+      EXPECT_TRUE(bitwiseEqual(Compiled.rowConstant(), Ref.C));
+    }
+  }
+}
+
 TEST(CompiledEquivalenceTest, CallbackSeesEveryIteration) {
   // The fused loop must preserve the iteration/callback contract the
   // pipeline's progress observer relies on: exactly one callback per
@@ -425,7 +636,7 @@ TEST(CompiledEquivalenceTest, CallbackSeesEveryIteration) {
   SolveResult R = Opt.minimize(Compiled);
   EXPECT_EQ(Calls, R.Iterations);
   EXPECT_EQ(LastIter, R.Iterations);
-  EXPECT_TRUE(R.Converged);
+  EXPECT_EQ(R.Stop, StopReason::Stationary);
 }
 
 } // namespace

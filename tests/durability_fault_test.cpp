@@ -119,11 +119,10 @@ StateSnapshot sampleSnapshot() {
   S.Solve.X = {0.0, 1.0, 0.1, 1.0 / 3.0, 0.30000000000000004, -0.0};
   S.Solve.FinalObjective = 0.0625;
   S.Solve.Iterations = 600;
-  S.Solve.Converged = true;
+  S.Solve.BestIteration = 131;
+  S.Solve.Stop = solver::StopReason::Patience;
   S.Solve.NonFiniteSteps = 1;
   S.Solve.Recoveries = 2;
-  S.Solve.FellBack = false;
-  S.Solve.DeadlineExpired = false;
   S.FeedbackOpts.AcceptWeight = 1.5;
   S.FeedbackOpts.RejectWeight = 0.5;
   S.FeedbackOpts.SimilarityDecay = 0.25;
@@ -243,11 +242,10 @@ TEST(SnapshotCodecTest, RoundTripsBitExactly) {
   }
   EXPECT_EQ(R.Value.Solve.FinalObjective, S.Solve.FinalObjective);
   EXPECT_EQ(R.Value.Solve.Iterations, S.Solve.Iterations);
-  EXPECT_EQ(R.Value.Solve.Converged, S.Solve.Converged);
+  EXPECT_EQ(R.Value.Solve.BestIteration, S.Solve.BestIteration);
+  EXPECT_EQ(R.Value.Solve.Stop, S.Solve.Stop);
   EXPECT_EQ(R.Value.Solve.NonFiniteSteps, S.Solve.NonFiniteSteps);
   EXPECT_EQ(R.Value.Solve.Recoveries, S.Solve.Recoveries);
-  EXPECT_EQ(R.Value.Solve.FellBack, S.Solve.FellBack);
-  EXPECT_EQ(R.Value.Solve.DeadlineExpired, S.Solve.DeadlineExpired);
   EXPECT_EQ(R.Value.FeedbackOpts.AcceptWeight, S.FeedbackOpts.AcceptWeight);
   EXPECT_EQ(R.Value.FeedbackOpts.RejectWeight, S.FeedbackOpts.RejectWeight);
   EXPECT_EQ(R.Value.FeedbackOpts.SimilarityDecay,
@@ -292,6 +290,37 @@ TEST(SnapshotCodecTest, TrailingGarbageIsRejected) {
   io::IOResult<StateSnapshot> R = decodeSnapshot(Bytes);
   EXPECT_FALSE(R.ok());
   EXPECT_FALSE(R.Error.empty());
+}
+
+TEST(SnapshotCodecTest, OlderVersionIsRejected) {
+  // Version 1 stored a converged byte and two flags where version 2
+  // stores the best iteration and a stop-reason byte; an old snapshot is
+  // rejected by version (so the store evicts it), never misread.
+  ASSERT_EQ(SnapshotCodecVersion, 2u);
+  std::string Bytes = encodeSnapshot(sampleSnapshot());
+  ASSERT_EQ(static_cast<uint8_t>(Bytes[4]), 2u); // "SSNP" varint(version)
+  Bytes[4] = 1;
+  io::IOResult<StateSnapshot> R = decodeSnapshot(Bytes);
+  ASSERT_FALSE(R.ok());
+  EXPECT_NE(R.Error.find("unsupported snapshot format version 1"),
+            std::string::npos)
+      << R.Error;
+}
+
+TEST(SnapshotCodecTest, EveryStopReasonRoundTripsAndOthersAreRejected) {
+  for (uint8_t Stop = 0; Stop <= solver::MaxStopReason; ++Stop) {
+    StateSnapshot S = sampleSnapshot();
+    S.Solve.Stop = static_cast<solver::StopReason>(Stop);
+    io::IOResult<StateSnapshot> R = decodeSnapshot(encodeSnapshot(S));
+    ASSERT_TRUE(R.ok()) << R.Error;
+    EXPECT_EQ(R.Value.Solve.Stop, S.Solve.Stop);
+  }
+  StateSnapshot Bad = sampleSnapshot();
+  Bad.Solve.Stop = static_cast<solver::StopReason>(solver::MaxStopReason + 1);
+  io::IOResult<StateSnapshot> R = decodeSnapshot(encodeSnapshot(Bad));
+  ASSERT_FALSE(R.ok());
+  EXPECT_NE(R.Error.find("stop reason"), std::string::npos) << R.Error;
+  EXPECT_TRUE(R.Value.Solve.X.empty()) << "partial snapshot";
 }
 
 //===----------------------------------------------------------------------===//

@@ -264,7 +264,7 @@ TEST_F(FaultPipelineTest, SolverRecoversFromPoisonedIteration) {
 
   EXPECT_GE(R.Solve.NonFiniteSteps, 1);
   EXPECT_GE(R.Solve.Recoveries, 1);
-  EXPECT_FALSE(R.Solve.FellBack)
+  EXPECT_FALSE(R.Solve.fellBack())
       << "a one-shot poison must recover, not fall back";
   for (double X : R.Solve.X)
     EXPECT_TRUE(std::isfinite(X));
@@ -281,7 +281,7 @@ TEST_F(FaultPipelineTest, SolverFallsBackWhenEveryStepIsPoisoned) {
   PipelineResult R = runFull(Data, testOptions(1));
   fault::reset();
 
-  EXPECT_TRUE(R.Solve.FellBack);
+  EXPECT_TRUE(R.Solve.fellBack());
   EXPECT_EQ(R.Solve.Recoveries, PipelineOptions().Solve.MaxRecoveries)
       << "the ladder is bounded";
   for (double X : R.Solve.X)
@@ -296,8 +296,8 @@ TEST_F(FaultPipelineTest, CleanRunUnaffectedByGuards) {
   PipelineResult R = runFull(Data, testOptions(1));
   EXPECT_EQ(R.Solve.NonFiniteSteps, 0);
   EXPECT_EQ(R.Solve.Recoveries, 0);
-  EXPECT_FALSE(R.Solve.FellBack);
-  EXPECT_FALSE(R.Solve.DeadlineExpired);
+  EXPECT_FALSE(R.Solve.fellBack());
+  EXPECT_FALSE(R.Solve.deadlineExpired());
   EXPECT_EQ(R.Health.status(), RunStatus::Clean);
 }
 
@@ -311,7 +311,7 @@ TEST_F(FaultPipelineTest, SolverBudgetStopsTheLoopEarly) {
   Opts.Solve.BudgetSeconds = 1e-9;
   PipelineResult R = runFull(Data, Opts);
 
-  EXPECT_TRUE(R.Solve.DeadlineExpired);
+  EXPECT_TRUE(R.Solve.deadlineExpired());
   EXPECT_LT(R.Solve.Iterations, Opts.Solve.MaxIterations);
   for (double X : R.Solve.X)
     EXPECT_TRUE(std::isfinite(X));

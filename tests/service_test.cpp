@@ -388,6 +388,30 @@ TEST_F(ServiceTest, LearnResponseCarriesIncrementalStats) {
       << WithBackend;
 }
 
+TEST_F(ServiceTest, LearnAndStatusReportWhyTheSolveStopped) {
+  auto Svc = startService(testOptions());
+  ASSERT_TRUE(Svc);
+  std::string Learn =
+      Svc->serve("{\"v\":1,\"id\":1,\"op\":\"learn\",\"iters\":600}");
+  ASSERT_NE(Learn.find("\"ok\":true"), std::string::npos) << Learn;
+  // The replaced boolean is gone; the reason and the best iterate's
+  // iteration take its place.
+  EXPECT_EQ(Learn.find("\"converged\""), std::string::npos) << Learn;
+  const std::string Key = "\"stop_reason\":\"";
+  size_t At = Learn.find(Key);
+  ASSERT_NE(At, std::string::npos) << Learn;
+  At += Key.size();
+  std::string Reason = Learn.substr(At, Learn.find('"', At) - At);
+  EXPECT_TRUE(Reason == "patience" || Reason == "stationary") << Learn;
+  EXPECT_NE(Learn.find("\"best_iteration\":"), std::string::npos) << Learn;
+
+  // status carries the same solve summary as the learn that produced it.
+  std::string Status = Svc->serve("{\"v\":1,\"id\":2,\"op\":\"status\"}");
+  EXPECT_NE(Status.find("\"stop_reason\":\"" + Reason + "\""),
+            std::string::npos)
+      << Status;
+}
+
 TEST_F(ServiceTest, LearnReloadReplaysUnchangedShards) {
   fs::create_directories(Root / "cache");
   Service::Options Opts = testOptions();

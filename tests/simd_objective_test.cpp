@@ -202,7 +202,7 @@ TEST(SimdEquivalenceTest, FullAdamTrajectoryMatchesCompiledAcrossJobs) {
     SolveResult RS = runAdam(Serial);
     SolveResult RP = runAdam(Parallel);
     EXPECT_EQ(RC.Iterations, RS.Iterations);
-    EXPECT_EQ(RC.Converged, RS.Converged);
+    EXPECT_EQ(RC.Stop, RS.Stop);
     EXPECT_TRUE(bitwiseEqual(RC.X, RS.X)) << "seed " << Seed;
     EXPECT_EQ(RC.FinalObjective, RS.FinalObjective);
     EXPECT_EQ(RS.Iterations, RP.Iterations);

@@ -150,7 +150,7 @@ TEST(AdamTest, ConvergesAndReportsIterations) {
   O.Tolerance = 1e-9;
   AdamOptimizer Opt(O);
   SolveResult R = Opt.minimize(Obj);
-  EXPECT_TRUE(R.Converged);
+  EXPECT_EQ(R.Stop, StopReason::Stationary);
   EXPECT_LT(R.Iterations, 5000);
 }
 

@@ -138,7 +138,12 @@ void registerFlags(ArgParser &Parser, CliOptions &Opts,
       .decimal("--threshold", &Opts.Threshold, "T",
                "score threshold (default 0.1)")
       .unsignedInt("--iters", &Raw.Iters, "N",
-                   "solver iterations (default 600)")
+                   "solver iteration cap (default 600); a system of\n" +
+                       std::to_string(solver::MinPatienceRows) +
+                       "+ rows stops earlier once its best iterate\n"
+                       "has not improved for " +
+                       std::to_string(solver::DefaultPatience) +
+                       " iterations")
       .unsignedInt("--cutoff", &Raw.Cutoff, "N",
                    "representation frequency cutoff (default 5)")
       .unsignedInt("--top", &Raw.Top, "N",
@@ -156,7 +161,7 @@ void registerFlags(ArgParser &Parser, CliOptions &Opts,
       .string("--cache-dir", &Opts.CacheDir, "DIR",
               "learn/explain: persistent propagation-graph\n"
               "cache; projects whose sources are unchanged\n"
-              "skip parsing (identical learned specs)")
+              "skip graph build (identical learned specs)")
       .flag("--shard-cache", &Opts.ShardCache,
             "learn: also cache per-project constraint shards\n"
             "under DIR/shards (requires --cache-dir); re-learns\n"
@@ -176,7 +181,8 @@ void registerFlags(ArgParser &Parser, CliOptions &Opts,
               "write the metrics snapshot as JSON to F")
       .flag("--solver-stats", &Opts.SolverStats,
             "learn: print solver statistics (kernel tier,\n"
-            "rows before/after dedup, non-zeros, ms/iteration)")
+            "rows before/after dedup, non-zeros, compile time,\n"
+            "ms/iteration, stop reason)")
       .flag("--active", &Opts.Active,
             "learn: run the active-learning loop — rank uncertain\n"
             "scores, query the --oracle file, pin the answers, and\n"
@@ -575,11 +581,18 @@ int cmdLearn(const CliOptions &Opts) {
                  solver::simdTierName(R.SolverTier), S.RowsBefore,
                  S.RowsAfter, S.dedupRatio(), S.NonZeros,
                  S.MaxMultiplicity);
-    std::fprintf(stderr, "solver: %.3f ms/iteration over %d iteration(s)\n",
+    // The compile is a one-time cost; only the rest of the solve stage is
+    // spread over the iterations.
+    std::fprintf(stderr,
+                 "solver: compile %.3f ms, %.3f ms/iteration over %d "
+                 "iteration(s), stopped: %s (best at %d)\n",
+                 1000.0 * R.CompileSeconds,
                  R.Solve.Iterations > 0
-                     ? 1000.0 * R.SolveSeconds / R.Solve.Iterations
+                     ? 1000.0 * (R.SolveSeconds - R.CompileSeconds) /
+                           R.Solve.Iterations
                      : 0.0,
-                 R.Solve.Iterations);
+                 R.Solve.Iterations, solver::stopReasonName(R.Solve.Stop),
+                 R.Solve.BestIteration);
   }
 
   // The spec is written even on a degraded run — it is valid for the

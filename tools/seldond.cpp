@@ -104,7 +104,7 @@ bool parseDaemonArgs(int Argc, char **Argv, DaemonOptions &Opts,
                 "seed specification (App. B format; default: built-in)");
   Parser.string("--cache-dir", &Opts.Svc.CacheDir, "DIR",
                 "persistent propagation-graph cache; unchanged projects\n"
-                "skip parsing on restart");
+                "skip graph build on restart");
   Parser.flag("--shard-cache", &Opts.ShardCache,
               "also cache per-project constraint shards under\n"
               "DIR/shards (requires --cache-dir); a `learn` with\n"
@@ -118,7 +118,12 @@ bool parseDaemonArgs(int Argc, char **Argv, DaemonOptions &Opts,
                      "after every Nth applied op (default 1; 0 = only on\n"
                      "orderly shutdown)");
   Parser.unsignedInt("--iters", &Iters, "N",
-                     "solver iterations (default 600)");
+                     "solver iteration cap (default 600); a system of\n" +
+                         std::to_string(solver::MinPatienceRows) +
+                         "+ rows stops earlier once its best iterate has\n"
+                         "not improved for " +
+                         std::to_string(solver::DefaultPatience) +
+                         " iterations");
   Parser.unsignedInt("--cutoff", &Cutoff, "N",
                      "representation frequency cutoff (default 5)");
   Parser.unsignedInt("--jobs", &Jobs, "N",
