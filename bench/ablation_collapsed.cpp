@@ -51,7 +51,7 @@ int main() {
       Correct += P.Correct;
     }
     Table.addRow({Collapse ? "Collapsed" : "Uncollapsed (paper)",
-                  std::to_string(R.System.Constraints.size()),
+                  std::to_string(R.System->Constraints.size()),
                   std::to_string(Predicted), std::to_string(Correct),
                   Predicted ? percent(static_cast<double>(Correct) /
                                       Predicted)

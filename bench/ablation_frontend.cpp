@@ -42,7 +42,7 @@ RowResult runConfig(const corpus::Corpus &Data,
   S.addProjects(Data.Projects);
   S.generateConstraints(Data.Seed);
   infer::PipelineResult R = S.solve();
-  Out.Edges = R.Graph.numEdges();
+  Out.Edges = R.Graph->numEdges();
   Out.Seconds = R.BuildSeconds + R.inferenceSeconds();
 
   size_t Correct = 0;

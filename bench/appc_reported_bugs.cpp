@@ -45,7 +45,7 @@ int main() {
 
   // Vulnerability class of each confirmed report, via the sink's class.
   auto ClassOf = [&](const taint::Violation &V) -> std::string {
-    const propgraph::Event &Snk = Run.Pipeline.Graph.event(V.Sink);
+    const propgraph::Event &Snk = Run.Pipeline.Graph->event(V.Sink);
     for (const std::string &Rep : Snk.Reps) {
       const std::string &Cls = Run.Data.Truth.vulnClassOf(Rep);
       if (!Cls.empty())
@@ -58,7 +58,7 @@ int main() {
   std::unordered_set<std::string> Projects;
   for (const taint::Violation &V : Confirmed) {
     ++PerClass[ClassOf(V)];
-    const std::string &Path = Run.Pipeline.Graph.files()[V.FileIdx];
+    const std::string &Path = Run.Pipeline.Graph->files()[V.FileIdx];
     Projects.insert(Path.substr(0, Path.find('/')));
   }
 

@@ -214,7 +214,7 @@ int main() {
     LastRate = MsPerFile;
     LastStats = R.SolverStats;
     Table.addRow({std::to_string(R.NumFiles),
-                  std::to_string(R.System.Constraints.size()),
+                  std::to_string(R.System->Constraints.size()),
                   formatString("%.3f", Serial.TotalSeconds),
                   formatString("%.3f", Parallel.TotalSeconds),
                   formatString("%.2fx",

@@ -31,9 +31,9 @@ namespace {
 std::string renderSpec(const infer::PipelineResult &R,
                        const std::vector<double> &X) {
   spec::LearnedSpec Learned;
-  const constraints::VarTable &Vars = R.System.Vars;
+  const constraints::VarTable &Vars = R.System->Vars;
   for (uint32_t V = 0; V < Vars.numVars(); ++V)
-    Learned.setScore(R.Reps.repString(Vars.repOf(V)), Vars.roleOf(V), X[V]);
+    Learned.setScore(R.Reps->repString(Vars.repOf(V)), Vars.roleOf(V), X[V]);
   return spec::writeLearnedSpec(Learned, ScoreThreshold);
 }
 
@@ -57,7 +57,7 @@ std::string solveOracle(const infer::PipelineResult &R,
   solver::SolveResult Solve;
   {
     trace::Span Span(metrics::Registry::global(), "oracle/solve");
-    solver::Objective Obj = R.System.makeObjective(Opts.Lambda);
+    solver::Objective Obj = R.System->makeObjective(Opts.Lambda);
     Obj.setThreadPool(Pool.get());
     Solve = solver::AdamOptimizer(Opts.Solve).minimize(Obj);
   }

@@ -29,11 +29,11 @@ int main() {
                "evaluation ===\n\n";
   TablePrinter Table({"Statistic", "Value"});
   Table.addRow({"# Candidates",
-                std::to_string(Run.Pipeline.System.NumCandidates)});
+                std::to_string(Run.Pipeline.System->NumCandidates)});
   Table.addRow({"Average # backoff options per event",
-                formatString("%.2f", Run.Pipeline.System.AvgBackoffOptions)});
+                formatString("%.2f", Run.Pipeline.System->AvgBackoffOptions)});
   Table.addRow({"# Constraints",
-                std::to_string(Run.Pipeline.System.Constraints.size())});
+                std::to_string(Run.Pipeline.System->Constraints.size())});
   Table.addRow({"# Source files", std::to_string(Run.Pipeline.NumFiles)});
   Table.print(std::cout);
 
@@ -42,13 +42,13 @@ int main() {
   Extra.addRow({"# Projects", std::to_string(Run.Data.Projects.size())});
   Extra.addRow({"# Lines of Python", std::to_string(Run.Data.TotalLines)});
   Extra.addRow({"# Events (incl. non-candidates)",
-                std::to_string(Run.Pipeline.Graph.numEvents())});
+                std::to_string(Run.Pipeline.Graph->numEvents())});
   Extra.addRow({"# Flow edges",
-                std::to_string(Run.Pipeline.Graph.numEdges())});
+                std::to_string(Run.Pipeline.Graph->numEdges())});
   Extra.addRow({"# Seed annotations",
                 std::to_string(Run.Data.Seed.Spec.size())});
   Extra.addRow({"# Optimization variables",
-                std::to_string(Run.Pipeline.System.Vars.numVars())});
+                std::to_string(Run.Pipeline.System->Vars.numVars())});
   Extra.print(std::cout);
 
   std::cout << "\nGraph structure:\n"

@@ -25,7 +25,7 @@ int main() {
   const auto &Learned = Run.Pipeline.Learned;
   const auto &Truth = Run.Data.Truth;
   const auto &Seed = Run.Data.Seed;
-  size_t Candidates = Run.Pipeline.System.NumCandidates;
+  size_t Candidates = Run.Pipeline.System->NumCandidates;
 
   std::cout << "=== Table 5: Count and estimated precision of candidates "
                "predicted by Seldon ===\n\n";

@@ -30,7 +30,7 @@ int main() {
   infer::PipelineResult Result = Learn.solve();
   std::printf("Learned %zu scored representations from %zu constraints "
               "in %.2fs.\n\n",
-              Result.Learned.size(), Result.System.Constraints.size(),
+              Result.Learned.size(), Result.System->Constraints.size(),
               Result.inferenceSeconds());
 
   // 2. A target application that uses APIs the seed does not know: take

@@ -30,38 +30,42 @@ cmake --build "$ROOT/build-tsan" -j "$JOBS" \
            compiled_objective_test simd_objective_test cache_fault_test \
            cache_pipeline_test fault_pipeline_test service_test \
            shard_fault_test shard_pipeline_test active_learning_test \
-           feedback_test solver_stop_test
+           feedback_test solver_stop_test graph_merge_test \
+           artifact_sharing_test
 ctest --test-dir "$ROOT/build-tsan" --output-on-failure --no-tests=error \
   -j "$JOBS" \
-  -R 'ThreadPoolTest|MetricsTest|TraceTest|MetricsPipelineTest|PipelineParallelTest|CompileTest|CompiledEquivalenceTest|SimdLayoutTest|SimdEquivalenceTest|SimdDispatchTest|CodecFaultTest|CacheFaultTest|CachePipelineTest|CacheStalenessTest|CacheDegradedTest|CacheKeyTest|FaultPipelineTest|ServiceTest|ServiceJsonTest|ProtocolTest|ShardCodecTest|ShardCodecFaultTest|ShardCacheFaultTest|ShardPipelineTest|ShardStalenessTest|ShardKeyTest|ShardWarmStartTest|ShardFallbackTest|ShardDegradedTest|ShardPipelineComboTest|ActiveLearningTest|UncertaintyTest|FileOracleTest|FeedbackTest|AdamStopTest|SessionPatienceTest|CompileCoalesceTest'
+  -R 'ThreadPoolTest|MetricsTest|TraceTest|MetricsPipelineTest|PipelineParallelTest|CompileTest|CompiledEquivalenceTest|SimdLayoutTest|SimdEquivalenceTest|SimdDispatchTest|CodecFaultTest|CacheFaultTest|CachePipelineTest|CacheStalenessTest|CacheDegradedTest|CacheKeyTest|FaultPipelineTest|ServiceTest|ServiceJsonTest|ProtocolTest|ShardCodecTest|ShardCodecFaultTest|ShardCacheFaultTest|ShardPipelineTest|ShardStalenessTest|ShardKeyTest|ShardWarmStartTest|ShardFallbackTest|ShardDegradedTest|ShardPipelineComboTest|ActiveLearningTest|UncertaintyTest|FileOracleTest|FeedbackTest|AdamStopTest|SessionPatienceTest|CompileCoalesceTest|GraphAppendTest|ReachabilityTest|ArtifactSharingTest'
 
 echo
-echo "=== ubsan: solver kernels under UndefinedBehaviorSanitizer ==="
+echo "=== ubsan: solver kernels and graph merge/reachability under UndefinedBehaviorSanitizer ==="
 cmake -B "$ROOT/build-ubsan" -S "$ROOT" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=undefined,float-cast-overflow -fno-sanitize-recover=all -g"
 cmake --build "$ROOT/build-ubsan" -j "$JOBS" \
   --target compiled_objective_test simd_objective_test solver_test \
-           solver_stop_test
+           solver_stop_test graph_merge_test
 ctest --test-dir "$ROOT/build-ubsan" --output-on-failure --no-tests=error \
   -j "$JOBS" \
-  -R 'CompileTest|CompileCoalesceTest|CompiledEquivalenceTest|SimdLayoutTest|SimdEquivalenceTest|SimdDispatchTest|ObjectiveTest|AdamTest|AdamStopTest|SessionPatienceTest|ProjectedGradientTest'
+  -R 'CompileTest|CompileCoalesceTest|CompiledEquivalenceTest|SimdLayoutTest|SimdEquivalenceTest|SimdDispatchTest|ObjectiveTest|AdamTest|AdamStopTest|SessionPatienceTest|ProjectedGradientTest|GraphAppendTest|ReachabilityTest'
 
 echo
-echo "=== asan: service + durability tests under AddressSanitizer ==="
+echo "=== asan: service, durability and artifact-sharing tests under AddressSanitizer ==="
 # The durability layer is raw-fd and buffer-slicing code (journal frames,
 # snapshot decoding, torn-tail truncation) plus a daemon that dies at
 # injected crash points — exactly where a heap overrun or use-after-free
 # would hide. The recovery harness forks the asan-built seldond, so the
-# kill-and-restart sweep runs sanitized end to end.
+# kill-and-restart sweep runs sanitized end to end. The artifact-sharing
+# suite checks that results outliving copy-on-write never read freed
+# systems.
 cmake -B "$ROOT/build-asan" -S "$ROOT" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=address -fno-omit-frame-pointer -g"
 cmake --build "$ROOT/build-asan" -j "$JOBS" \
-  --target service_test durability_fault_test recovery_harness_test
+  --target service_test durability_fault_test recovery_harness_test \
+           artifact_sharing_test
 ctest --test-dir "$ROOT/build-asan" --output-on-failure --no-tests=error \
   -j "$JOBS" \
-  -R 'ServiceTest|ServiceJsonTest|ProtocolTest|JournalCodecTest|SnapshotCodecTest|StateStoreTest|RecoveryHarnessTest'
+  -R 'ServiceTest|ServiceJsonTest|ProtocolTest|JournalCodecTest|SnapshotCodecTest|StateStoreTest|RecoveryHarnessTest|ArtifactSharingTest'
 
 echo
 echo "=== metrics smoke: seldon learn --metrics-out on a toy repo ==="
@@ -88,7 +92,8 @@ with open(sys.argv[1]) as f:
 if not m["enabled"]:
     sys.exit("FAIL: metrics snapshot reports enabled=false")
 paths = {s["path"] for s in m["spans"]}
-for stage in ("session/parse", "session/constraints", "session/solve"):
+for stage in ("load", "session/build", "session/constraints",
+              "session/solve", "write"):
     if stage not in paths:
         sys.exit(f"FAIL: missing {stage} span")
 for s in m["spans"]:

@@ -9,8 +9,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 #include <unordered_map>
-#include <unordered_set>
 
 using namespace seldon;
 using namespace seldon::constraints;
@@ -57,8 +57,8 @@ private:
   /// Fig. 4a and Fig. 4b share the per-sanitizer forward/backward scans.
   void extractSanitizerAnchored() {
     for (EventId San : Sanitizers) {
-      const std::unordered_set<EventId> &Fwd = forwardSet(San);
-      std::unordered_set<EventId> Bwd = backwardSet(San);
+      const std::vector<EventId> &Fwd = forwardSet(San);
+      std::vector<EventId> Bwd = backwardSet(San);
 
       std::vector<EventId> SinksAfter = membersOf(Sinks, Fwd);
       std::vector<EventId> SourcesBefore = membersOf(Sources, Bwd);
@@ -99,7 +99,7 @@ private:
   /// Fig. 4c: src(s) + snk(t) <= sum of sanitizers between s and t + C.
   void extractSourceSinkPairs() {
     for (EventId Src : Sources) {
-      const std::unordered_set<EventId> &Fwd = forwardSet(Src);
+      const std::vector<EventId> &Fwd = forwardSet(Src);
       std::vector<EventId> SinksAfter = membersOf(Sinks, Fwd);
       std::vector<EventId> SansAfter = membersOf(Sanitizers, Fwd);
       size_t Pairs = 0;
@@ -114,7 +114,7 @@ private:
         for (EventId Mid : SansAfter) {
           if (Mid == Snk || Mid == Src)
             continue;
-          if (forwardSet(Mid).count(Snk))
+          if (contains(forwardSet(Mid), Snk))
             appendAvgTerms(LC.Rhs, Mid, Role::Sanitizer);
         }
         LC.C = Opts.C;
@@ -123,31 +123,35 @@ private:
     }
   }
 
-  /// Sorted members of \p Candidates contained in \p Set.
+  /// Members of \p Candidates contained in \p Set, both in ascending id
+  /// order (so is the result).
   static std::vector<EventId>
   membersOf(const std::vector<EventId> &Candidates,
-            const std::unordered_set<EventId> &Set) {
+            const std::vector<EventId> &Set) {
     std::vector<EventId> Out;
-    for (EventId Id : Candidates)
-      if (Set.count(Id))
-        Out.push_back(Id);
+    std::set_intersection(Candidates.begin(), Candidates.end(), Set.begin(),
+                          Set.end(), std::back_inserter(Out));
     return Out;
   }
 
-  const std::unordered_set<EventId> &forwardSet(EventId Id) {
+  static bool contains(const std::vector<EventId> &Set, EventId Id) {
+    return std::binary_search(Set.begin(), Set.end(), Id);
+  }
+
+  /// The events reachable from \p Id, sorted by id (memoized).
+  const std::vector<EventId> &forwardSet(EventId Id) {
     auto It = FwdCache.find(Id);
     if (It != FwdCache.end())
       return It->second;
-    std::unordered_set<EventId> Set;
-    for (EventId R : Graph.reachableFrom(Id))
-      Set.insert(R);
+    std::vector<EventId> Set = Graph.reachableFrom(Id);
+    std::sort(Set.begin(), Set.end());
     return FwdCache.emplace(Id, std::move(Set)).first->second;
   }
 
-  std::unordered_set<EventId> backwardSet(EventId Id) const {
-    std::unordered_set<EventId> Set;
-    for (EventId R : Graph.reachingTo(Id))
-      Set.insert(R);
+  /// The events reaching \p Id, sorted by id.
+  std::vector<EventId> backwardSet(EventId Id) const {
+    std::vector<EventId> Set = Graph.reachingTo(Id);
+    std::sort(Set.begin(), Set.end());
     return Set;
   }
 
@@ -177,7 +181,7 @@ private:
   VarTable &LocalVars;
   std::vector<solver::LinearConstraint> &Out;
   std::vector<EventId> Sources, Sanitizers, Sinks;
-  std::unordered_map<EventId, std::unordered_set<EventId>> FwdCache;
+  std::unordered_map<EventId, std::vector<EventId>> FwdCache;
 };
 
 } // namespace
@@ -287,23 +291,30 @@ seldon::constraints::generateConstraints(const PropagationGraph &Graph,
   // so this reproduces the exact ids a serial run assigns — including
   // variables a serial run creates for sums that end up in no constraint),
   // then remap and concatenate the constraint blocks.
+  //
+  // The constraints are copied, not moved, and the blocks are freed only
+  // once all are copied. The workers' term arrays lie scattered between
+  // their reachability sets; fresh copies lie side by side, unless they
+  // reuse the chunks of blocks freed along the way. Every later pass over
+  // the whole system (the solver compile, explainRep behind each daemon
+  // query) reads the compact layout faster.
   size_t Total = 0;
   for (const FileBlock &Block : PerFile)
     Total += Block.Constraints.size();
   Sys.Constraints.reserve(Total);
-  for (FileBlock &Block : PerFile) {
+  for (const FileBlock &Block : PerFile) {
     std::vector<VarId> Map(Block.Vars.numVars());
     for (VarId L = 0; L < Block.Vars.numVars(); ++L)
       Map[L] = Sys.Vars.varFor(Block.Vars.repOf(L), Block.Vars.roleOf(L));
-    for (solver::LinearConstraint &LC : Block.Constraints) {
-      for (solver::Term &T : LC.Lhs)
+    for (const solver::LinearConstraint &LC : Block.Constraints) {
+      solver::LinearConstraint &Copy = Sys.Constraints.emplace_back(LC);
+      for (solver::Term &T : Copy.Lhs)
         T.Var = Map[T.Var];
-      for (solver::Term &T : LC.Rhs)
+      for (solver::Term &T : Copy.Rhs)
         T.Var = Map[T.Var];
-      Sys.Constraints.push_back(std::move(LC));
     }
-    Block = FileBlock(); // Free as we go.
   }
+  PerFile.clear();
 
   if (ShardSecondsOut)
     *ShardSecondsOut = std::move(ShardSeconds);

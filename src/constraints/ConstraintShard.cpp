@@ -4,10 +4,11 @@
 
 #include "support/Deadline.h"
 
+#include <algorithm>
 #include <array>
-
+#include <cassert>
+#include <iterator>
 #include <unordered_map>
-#include <unordered_set>
 
 using namespace seldon;
 using namespace seldon::constraints;
@@ -87,8 +88,8 @@ public:
 private:
   void extractSanitizerAnchored() {
     for (EventId San : Sanitizers) {
-      const std::unordered_set<EventId> &Fwd = forwardSet(San);
-      std::unordered_set<EventId> Bwd = backwardSet(San);
+      const std::vector<EventId> &Fwd = forwardSet(San);
+      std::vector<EventId> Bwd = backwardSet(San);
 
       std::vector<EventId> SinksAfter = membersOf(Sinks, Fwd);
       std::vector<EventId> SourcesBefore = membersOf(Sources, Bwd);
@@ -105,7 +106,7 @@ private:
 
   void extractSourceSinkPairs() {
     for (EventId Src : Sources) {
-      const std::unordered_set<EventId> &Fwd = forwardSet(Src);
+      const std::vector<EventId> &Fwd = forwardSet(Src);
       std::vector<EventId> SinksAfter = membersOf(Sinks, Fwd);
       std::vector<EventId> SansAfter = membersOf(Sanitizers, Fwd);
       ShardSrcAnchor Anchor;
@@ -117,7 +118,7 @@ private:
         for (EventId Mid : SansAfter) {
           if (Mid == Snk || Mid == Src)
             continue;
-          if (forwardSet(Mid).count(Snk))
+          if (contains(forwardSet(Mid), Snk))
             Pair.Mids.push_back(ref(Mid));
         }
         Anchor.Pairs.push_back(std::move(Pair));
@@ -141,28 +142,31 @@ private:
 
   static std::vector<EventId>
   membersOf(const std::vector<EventId> &Candidates,
-            const std::unordered_set<EventId> &Set) {
+            const std::vector<EventId> &Set) {
     std::vector<EventId> Out;
-    for (EventId Id : Candidates)
-      if (Set.count(Id))
-        Out.push_back(Id);
+    std::set_intersection(Candidates.begin(), Candidates.end(), Set.begin(),
+                          Set.end(), std::back_inserter(Out));
     return Out;
   }
 
-  const std::unordered_set<EventId> &forwardSet(EventId Id) {
+  static bool contains(const std::vector<EventId> &Set, EventId Id) {
+    return std::binary_search(Set.begin(), Set.end(), Id);
+  }
+
+  /// The events reachable from \p Id, sorted by id (memoized).
+  const std::vector<EventId> &forwardSet(EventId Id) {
     auto It = FwdCache.find(Id);
     if (It != FwdCache.end())
       return It->second;
-    std::unordered_set<EventId> Set;
-    for (EventId R : Graph.reachableFrom(Id))
-      Set.insert(R);
+    std::vector<EventId> Set = Graph.reachableFrom(Id);
+    std::sort(Set.begin(), Set.end());
     return FwdCache.emplace(Id, std::move(Set)).first->second;
   }
 
-  std::unordered_set<EventId> backwardSet(EventId Id) const {
-    std::unordered_set<EventId> Set;
-    for (EventId R : Graph.reachingTo(Id))
-      Set.insert(R);
+  /// The events reaching \p Id, sorted by id.
+  std::vector<EventId> backwardSet(EventId Id) const {
+    std::vector<EventId> Set = Graph.reachingTo(Id);
+    std::sort(Set.begin(), Set.end());
     return Set;
   }
 
@@ -171,14 +175,15 @@ private:
   ShardInterner &Interner;
   ShardFile &Out;
   std::vector<EventId> Sources, Sanitizers, Sinks;
-  std::unordered_map<EventId, std::unordered_set<EventId>> FwdCache;
+  std::unordered_map<EventId, std::vector<EventId>> FwdCache;
 };
 
 } // namespace
 
 ConstraintShard
 seldon::constraints::extractShard(const PropagationGraph &Graph,
-                                  uint32_t FileBegin, uint32_t FileEnd) {
+                                  uint32_t FileBegin, uint32_t FileEnd,
+                                  EventId EventBegin, EventId EventEnd) {
   ConstraintShard Shard;
   if (FileEnd <= FileBegin)
     return Shard;
@@ -188,9 +193,12 @@ seldon::constraints::extractShard(const PropagationGraph &Graph,
   // generateConstraints uses, so anchor member lists come out in candidate
   // order.
   std::vector<std::vector<EventId>> ByFile(FileEnd - FileBegin);
-  for (const Event &E : Graph.events())
+  assert(EventBegin <= EventEnd && EventEnd <= Graph.numEvents());
+  for (EventId Id = EventBegin; Id < EventEnd; ++Id) {
+    const Event &E = Graph.event(Id);
     if (E.FileIdx >= FileBegin && E.FileIdx < FileEnd)
-      ByFile[E.FileIdx - FileBegin].push_back(E.Id);
+      ByFile[E.FileIdx - FileBegin].push_back(Id);
+  }
 
   ShardInterner Interner(Shard);
   for (size_t F = 0; F < ByFile.size(); ++F) {

@@ -105,13 +105,20 @@ struct ConstraintShard {
 
 /// Extracts the shard of the files [\p FileBegin, \p FileEnd) of \p Graph
 /// — a project's file range within the global graph, or (0, files().size())
-/// for a standalone per-project graph. Performs the full per-file BFS
+/// for a standalone per-project graph (with events (0, numEvents())). Performs the full per-file BFS
 /// reachability work of generateConstraints but no filtering: the result
 /// depends only on the graph slice, never on RepTable counts, seed, or
 /// GenOptions. Deterministic (serial per project; parallelism comes from
 /// extracting different projects' shards concurrently).
+///
+/// Only events in [\p EventBegin, \p EventEnd) are scanned, and the range
+/// must hold every event of those files: a project appended to the global
+/// graph owns one contiguous event range, so extraction stays
+/// proportional to the project rather than the corpus.
 ConstraintShard extractShard(const propgraph::PropagationGraph &Graph,
-                             uint32_t FileBegin, uint32_t FileEnd);
+                             uint32_t FileBegin, uint32_t FileEnd,
+                             propgraph::EventId EventBegin,
+                             propgraph::EventId EventEnd);
 
 /// Replays \p Shard into \p Sys under the current corpus state: filters
 /// each event's options by the §4.3 cutoff (global counts in \p Reps) and

@@ -19,6 +19,20 @@ using namespace seldon;
 using namespace seldon::infer;
 using namespace seldon::propgraph;
 
+namespace {
+
+/// Reads the scores back into \p Result.Learned: one entry per
+/// (representation, role) variable.
+void readScores(PipelineResult &Result) {
+  const constraints::VarTable &Vars = Result.System->Vars;
+  for (uint32_t V = 0; V < Vars.numVars(); ++V) {
+    const std::string &Rep = Result.Reps->repString(Vars.repOf(V));
+    Result.Learned.setScore(Rep, Vars.roleOf(V), Result.Solve.X[V]);
+  }
+}
+
+} // namespace
+
 const char *seldon::infer::phaseName(Phase P) {
   switch (P) {
   case Phase::BuildGraph:
@@ -73,9 +87,9 @@ Session &Session::enableShardCache(const std::string &Dir) {
 }
 
 Session &Session::adoptGraph(PropagationGraph NewGraph) {
-  Graph = std::move(NewGraph);
+  Graph = std::make_shared<const PropagationGraph>(std::move(NewGraph));
   GraphReady = true;
-  NumFiles = Graph.files().size();
+  NumFiles = Graph->files().size();
   BuildSeconds = 0.0;
   BuildShardSeconds.clear();
   SystemReady = false;
@@ -102,7 +116,7 @@ Session &Session::buildGraph() {
     Observer->onPhase(Phase::BuildGraph);
 
   metrics::Registry &Reg = metrics::Registry::global();
-  trace::Span BuildSpan(Reg, "session/parse");
+  trace::Span BuildSpan(Reg, "session/build");
   metrics::TimerStat *ProjectTimer =
       Reg.enabled() ? &Reg.timer("build.project_seconds") : nullptr;
   const size_t Total = Projects.size();
@@ -219,8 +233,10 @@ Session &Session::buildGraph() {
   // Deterministic merge: append the survivors in corpus order, so event
   // ids and file indices are identical to a serial walk over only the
   // surviving projects — quarantined ones contribute nothing. With a
-  // shard cache, each survivor's file range within the global graph is
-  // recorded so generateConstraints can slice its shard back out.
+  // shard cache, each survivor's file and event ranges within the global
+  // graph are recorded so generateConstraints can slice its shard back
+  // out.
+  PropagationGraph Built;
   NumFiles = 0;
   Slices.clear();
   bool DeadlineHit = false;
@@ -240,13 +256,16 @@ Session &Session::buildGraph() {
       continue;
     }
     NumFiles += Projects[I]->modules().size();
-    uint32_t FileBegin = static_cast<uint32_t>(Graph.files().size());
-    Graph.append(PerProject[I]);
+    uint32_t FileBegin = static_cast<uint32_t>(Built.files().size());
+    EventId EventBegin = static_cast<EventId>(Built.numEvents());
+    Built.append(std::move(PerProject[I]));
     if (SCache)
       Slices.push_back({I, Keys[I], FileBegin,
-                        static_cast<uint32_t>(Graph.files().size())});
-    PerProject[I] = PropagationGraph(); // Free as we go.
+                        static_cast<uint32_t>(Built.files().size()),
+                        EventBegin, static_cast<EventId>(Built.numEvents())});
   }
+  PerProject.clear();
+  Graph = std::make_shared<const PropagationGraph>(std::move(Built));
   SlicesValid = SCache != nullptr;
   if (DeadlineHit) {
     Health.DeadlineExpired = true;
@@ -256,7 +275,7 @@ Session &Session::buildGraph() {
   if (Reg.enabled()) {
     Reg.gauge("build.projects").set(static_cast<double>(Total));
     Reg.gauge("build.files").set(static_cast<double>(NumFiles));
-    Reg.gauge("build.events").set(static_cast<double>(Graph.numEvents()));
+    Reg.gauge("build.events").set(static_cast<double>(Graph->numEvents()));
     if (!Health.Quarantined.empty())
       Reg.counter("health.quarantined").add(Health.Quarantined.size());
     if (!Health.CacheIncidents.empty())
@@ -280,17 +299,19 @@ Session &Session::generateConstraints(const spec::SeedSpec &Seed) {
 
   metrics::Registry &Reg = metrics::Registry::global();
   trace::Span GenSpan(Reg, "session/constraints");
-  const PropagationGraph *LearnGraph = &Graph;
+  const PropagationGraph *LearnGraph = Graph.get();
   PropagationGraph Collapsed;
   if (Opts.CollapseForLearning) {
-    Collapsed = Graph.collapseByRep();
+    Collapsed = Graph->collapseByRep();
     LearnGraph = &Collapsed;
   }
   // Representation frequencies always come from the uncollapsed graph:
   // contraction collapses every representation to one occurrence, which
-  // would starve the §4.3 frequency cutoff.
-  Reps = RepTable();
-  Reps.countOccurrences(Graph);
+  // would starve the §4.3 frequency cutoff. Fresh objects, not in-place
+  // updates: results of earlier solves keep the tables they were given.
+  auto NewReps = std::make_shared<RepTable>();
+  NewReps->countOccurrences(*Graph);
+  Reps = std::move(NewReps);
   Incr = IncrStats();
   // The incremental path composes per-project shards; it requires the
   // per-project slices buildGraph records (adopted graphs have none) and
@@ -299,12 +320,13 @@ Session &Session::generateConstraints(const spec::SeedSpec &Seed) {
   bool UseShards = SCache && SlicesValid && !Opts.CollapseForLearning;
   try {
     if (UseShards)
-      System = composeFromShards(Seed, P);
+      System = std::make_shared<constraints::ConstraintSystem>(
+          composeFromShards(Seed, P));
     else
-      System = constraints::generateConstraints(*LearnGraph, Reps, Seed,
-                                                Opts.Gen, P,
-                                                &GenShardSeconds,
-                                                &RunDeadline);
+      System = std::make_shared<constraints::ConstraintSystem>(
+          constraints::generateConstraints(*LearnGraph, *Reps, Seed,
+                                           Opts.Gen, P, &GenShardSeconds,
+                                           &RunDeadline));
   } catch (const DeadlineError &) {
     // Constraint generation is all-or-nothing (a truncated system would
     // change the learned scores silently), so expiry propagates — but the
@@ -317,12 +339,12 @@ Session &Session::generateConstraints(const spec::SeedSpec &Seed) {
   GenSeconds = GenSpan.finish();
   if (Reg.enabled()) {
     Reg.gauge("gen.constraints")
-        .set(static_cast<double>(System.Constraints.size()));
-    Reg.gauge("gen.vars").set(static_cast<double>(System.Vars.numVars()));
+        .set(static_cast<double>(System->Constraints.size()));
+    Reg.gauge("gen.vars").set(static_cast<double>(System->Vars.numVars()));
     Reg.gauge("gen.candidates")
-        .set(static_cast<double>(System.NumCandidates));
-    Reg.gauge("gen.avg_backoff").set(System.AvgBackoffOptions);
-    Reg.gauge("gen.pinned").set(static_cast<double>(System.Pinned.size()));
+        .set(static_cast<double>(System->NumCandidates));
+    Reg.gauge("gen.avg_backoff").set(System->AvgBackoffOptions);
+    Reg.gauge("gen.pinned").set(static_cast<double>(System->Pinned.size()));
     if (UseShards) {
       Reg.gauge("incr.shards_hit")
           .set(static_cast<double>(Incr.ShardsHit));
@@ -376,8 +398,9 @@ Session::composeFromShards(const spec::SeedSpec &Seed, ThreadPool *P) {
     } else {
       if (fault::enabled())
         fault::maybeThrow(fault::Point::ConstraintGen, I);
-      Shards[I] = constraints::extractShard(Graph, Slice.FileBegin,
-                                            Slice.FileEnd);
+      Shards[I] = constraints::extractShard(*Graph, Slice.FileBegin,
+                                            Slice.FileEnd, Slice.EventBegin,
+                                            Slice.EventEnd);
       try {
         if (SCache->store(Key, Shards[I]))
           Stored[I] = 1;
@@ -411,7 +434,7 @@ Session::composeFromShards(const spec::SeedSpec &Seed, ThreadPool *P) {
   for (const constraints::ConstraintShard &Shard : Shards)
     Ptrs.push_back(&Shard);
   constraints::ConstraintSystem Sys = constraints::composeConstraints(
-      Graph, Reps, Seed, Ptrs, Opts.Gen, P, &RunDeadline);
+      *Graph, *Reps, Seed, Ptrs, Opts.Gen, P, &RunDeadline);
   if (Reg.enabled())
     Reg.timer("incr.merge_seconds").record(MergeTimer.seconds());
   return Sys;
@@ -423,27 +446,23 @@ bool Session::pinVariable(const std::string &Rep, propgraph::Role R,
          "Session::pinVariable() requires generateConstraints() first");
   propgraph::RepId Id;
   constraints::VarId V;
-  if (!Reps.lookup(Rep, Id) || !System.Vars.lookup(Id, R, V))
+  if (!Reps->lookup(Rep, Id) || !System->Vars.lookup(Id, R, V))
     return false;
-  for (auto &[Var, Pinned] : System.Pinned)
+  // Copy on write: an earlier result still sharing the system keeps the
+  // pins it was solved with. The copy is paid once; later pins find the
+  // session the sole owner and change the system in place.
+  if (System.use_count() > 1)
+    System = std::make_shared<constraints::ConstraintSystem>(*System);
+  for (auto &[Var, Pinned] : System->Pinned)
     if (Var == V) {
       Pinned = Value;
       return true;
     }
-  System.Pinned.emplace_back(V, Value);
+  System->Pinned.emplace_back(V, Value);
   return true;
 }
 
-PipelineResult Session::solve() {
-  assert(SystemReady &&
-         "Session::solve() requires generateConstraints() first");
-  armDeadline();
-  unsigned Jobs = resolveJobs();
-  ThreadPool *P = poolFor(Jobs);
-  JobsUsed = Jobs;
-  if (Observer)
-    Observer->onPhase(Phase::Solve);
-
+PipelineResult Session::startResult(unsigned Jobs) {
   PipelineResult Result;
   Result.Graph = Graph;
   Result.Reps = Reps;
@@ -461,16 +480,35 @@ PipelineResult Session::solve() {
   if (SCache)
     Result.ShardCacheStats = SCache->stats();
 
-  // Feedback reweighting: append the evidence rows to this solve's copy
-  // of the system (the session's own System stays row-clean, so dropping
-  // the feedback later needs no regeneration). The rows are ordinary
+  // Feedback reweighting: append the evidence rows to a copy of the
+  // system (the session's own System stays row-clean, so dropping the
+  // feedback later needs no regeneration). The rows are ordinary
   // constraints the solver treats like any other; an empty set appends
   // nothing and the run is byte-identical to the passive path.
   if (Opts.Feedback && !Opts.Feedback->empty()) {
+    auto WithRows = std::make_shared<constraints::ConstraintSystem>(*System);
     Result.UsedFeedback = true;
     Result.Feedback = constraints::applyFeedback(
-        Result.System, Result.Reps, *Opts.Feedback, Opts.FeedbackOpts);
+        *WithRows, *Reps, *Opts.Feedback, Opts.FeedbackOpts);
+    Result.System = std::move(WithRows);
   }
+  Incr.WarmStarted = Opts.WarmStart != nullptr;
+  Result.Incr = Incr;
+  return Result;
+}
+
+
+PipelineResult Session::solve() {
+  assert(SystemReady &&
+         "Session::solve() requires generateConstraints() first");
+  armDeadline();
+  unsigned Jobs = resolveJobs();
+  ThreadPool *P = poolFor(Jobs);
+  JobsUsed = Jobs;
+  if (Observer)
+    Observer->onPhase(Phase::Solve);
+
+  PipelineResult Result = startResult(Jobs);
 
   solver::SolveOptions SolveOpts = Opts.Solve;
   if (Opts.WarmStart) {
@@ -480,16 +518,14 @@ PipelineResult Session::solve() {
     // minimize() projects the point, re-applying the seed pins). A
     // warm start moves only the starting iterate: the objective, its
     // minimizers, and the convergence test are unchanged.
-    const constraints::VarTable &Vars = Result.System.Vars;
+    const constraints::VarTable &Vars = Result.System->Vars;
     std::vector<double> Warm(Vars.numVars(), 0.0);
     for (uint32_t V = 0; V < Vars.numVars(); ++V) {
-      const std::string &Rep = Result.Reps.repString(Vars.repOf(V));
+      const std::string &Rep = Result.Reps->repString(Vars.repOf(V));
       Warm[V] = Opts.WarmStart->score(Rep, Vars.roleOf(V));
     }
     SolveOpts.WarmStart = std::move(Warm);
   }
-  Incr.WarmStarted = Opts.WarmStart != nullptr;
-  Result.Incr = Incr;
   if (RunDeadline.armed()) {
     // Cap the solver's own budget by what the run budget has left, and let
     // it poll the shared deadline between iterations.
@@ -519,7 +555,7 @@ PipelineResult Session::solve() {
   // evaluators at every tier and Jobs setting (docs/architecture.md), so
   // the learned scores do not depend on the host's SIMD support.
   trace::Span CompileSpan(Reg, "compile");
-  solver::SimdObjective Obj = Result.System.makeSimdObjective(Opts.Lambda);
+  solver::SimdObjective Obj = Result.System->makeSimdObjective(Opts.Lambda);
   Result.CompileSeconds = CompileSpan.finish();
   if (Reg.enabled())
     Reg.timer("solver.compile_seconds").record(Result.CompileSeconds);
@@ -592,12 +628,7 @@ PipelineResult Session::solve() {
   if (Observer)
     Observer->onStageFinished(Phase::Solve, Result.SolveSeconds);
 
-  // Read scores back: one entry per (representation, role) variable.
-  const constraints::VarTable &Vars = Result.System.Vars;
-  for (uint32_t V = 0; V < Vars.numVars(); ++V) {
-    const std::string &Rep = Result.Reps.repString(Vars.repOf(V));
-    Result.Learned.setScore(Rep, Vars.roleOf(V), Result.Solve.X[V]);
-  }
+  readScores(Result);
   return Result;
 }
 
@@ -605,46 +636,16 @@ bool Session::restoreSolve(const solver::SolveResult &Restored,
                            PipelineResult &Out) {
   assert(SystemReady &&
          "Session::restoreSolve() requires generateConstraints() first");
-  if (Restored.X.size() != System.Vars.numVars())
+  if (Restored.X.size() != System->Vars.numVars())
     return false;
 
-  // Mirror solve()'s artifact copies so a restored result is
-  // indistinguishable from a freshly solved one to every consumer.
-  PipelineResult Result;
-  Result.Graph = Graph;
-  Result.Reps = Reps;
-  Result.System = System;
-  Result.NumFiles = NumFiles;
-  Result.BuildSeconds = BuildSeconds;
-  Result.BuildShardSeconds = BuildShardSeconds;
-  Result.GenSeconds = GenSeconds;
-  Result.GenShardSeconds = GenShardSeconds;
-  Result.JobsUsed = resolveJobs();
-  Result.UsedCache = Cache != nullptr;
-  if (Cache)
-    Result.Cache = Cache->stats();
-  Result.UsedShardCache = SystemFromShards;
-  if (SCache)
-    Result.ShardCacheStats = SCache->stats();
-
-  // Feedback rows land on the result's System copy exactly as in solve():
-  // a query against the restored result sees the same rows a pre-crash
-  // query saw.
-  if (Opts.Feedback && !Opts.Feedback->empty()) {
-    Result.UsedFeedback = true;
-    Result.Feedback = constraints::applyFeedback(
-        Result.System, Result.Reps, *Opts.Feedback, Opts.FeedbackOpts);
-  }
-  Incr.WarmStarted = Opts.WarmStart != nullptr;
-  Result.Incr = Incr;
+  // The same result solve() builds — feedback rows included, so a query
+  // against the restored result sees the rows a pre-crash query saw —
+  // with the restored iterate in place of an optimizer run.
+  PipelineResult Result = startResult(resolveJobs());
   Result.Solve = Restored;
   Result.Health = Health;
-
-  const constraints::VarTable &Vars = Result.System.Vars;
-  for (uint32_t V = 0; V < Vars.numVars(); ++V) {
-    const std::string &Rep = Result.Reps.repString(Vars.repOf(V));
-    Result.Learned.setScore(Rep, Vars.roleOf(V), Result.Solve.X[V]);
-  }
+  readScores(Result);
   Out = std::move(Result);
   return true;
 }

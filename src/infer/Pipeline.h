@@ -41,6 +41,7 @@
 #include "solver/ProjectedGradient.h"
 #include "solver/SimdObjective.h"
 #include "support/Deadline.h"
+#include "support/Shared.h"
 
 #include <memory>
 #include <vector>
@@ -145,11 +146,16 @@ struct IncrStats {
 };
 
 /// Everything the pipeline produced, including the intermediate artifacts
-/// the evaluation and the benches inspect.
+/// the evaluation and the benches inspect. Graph, Reps and System are
+/// read-only handles to the producing Session's own artifacts (see
+/// "Artifact ownership" in docs/architecture.md): results never copy them,
+/// and a later change to the Session never shows through an earlier result.
 struct PipelineResult {
-  propgraph::PropagationGraph Graph; ///< Global propagation graph.
-  propgraph::RepTable Reps;
-  constraints::ConstraintSystem System;
+  Shared<propgraph::PropagationGraph> Graph; ///< Global propagation graph.
+  Shared<propgraph::RepTable> Reps;
+  /// The solved system: the Session's own, or — when feedback evidence
+  /// rows were applied — a copy of it with those rows appended.
+  Shared<constraints::ConstraintSystem> System;
   solver::SolveResult Solve;
   spec::LearnedSpec Learned;
 
@@ -290,14 +296,15 @@ public:
 
   /// Minimizes the relaxed objective and returns the full result.
   /// Requires generateConstraints(). Re-runnable; each call re-optimizes
-  /// with the current options and copies the shared artifacts into the
-  /// returned PipelineResult.
+  /// with the current options. The result shares the session's graph, rep
+  /// table and constraint system; only options().Feedback makes a copy of
+  /// the system, which receives the evidence rows.
   PipelineResult solve();
 
   /// Installs a previously computed solver result instead of optimizing:
   /// builds a PipelineResult from the session's artifacts exactly as
   /// solve() would — including applying options().Feedback evidence rows
-  /// to the result's System copy — but adopts \p Restored wholesale in
+  /// to a copy of the system — but adopts \p Restored wholesale in
   /// place of running the optimizer, then extracts the LearnedSpec from
   /// Restored.X. Requires generateConstraints(); returns false (leaving
   /// \p Out untouched) when Restored.X does not match the system's
@@ -306,22 +313,23 @@ public:
   bool restoreSolve(const solver::SolveResult &Restored, PipelineResult &Out);
 
   /// The built or adopted global graph (valid after buildGraph()).
-  const propgraph::PropagationGraph &graph() const { return Graph; }
+  const propgraph::PropagationGraph &graph() const { return *Graph; }
   bool hasGraph() const { return GraphReady; }
 
   /// The generated constraint system (valid after generateConstraints();
-  /// solve() copies it — plus any feedback rows — into its result).
-  const constraints::ConstraintSystem &system() const { return System; }
+  /// solve() shares it with its result, or copies it to add feedback rows).
+  const constraints::ConstraintSystem &system() const { return *System; }
   /// The corpus representation table (valid after generateConstraints()).
-  const propgraph::RepTable &reps() const { return Reps; }
+  const propgraph::RepTable &reps() const { return *Reps; }
 
   /// Pins the (\p Rep, \p R) score variable to \p Value for every
   /// subsequent solve() — the same §4.1 mechanism seed labels use, and
   /// how the active-learning loop applies oracle answers. An existing pin
-  /// of the variable is updated in place. Returns false (and changes
-  /// nothing) when the pair has no score variable. Requires
-  /// generateConstraints(); re-running generateConstraints() rebuilds the
-  /// seed-only pin set.
+  /// of the variable is updated in place. Copy on write: while an earlier
+  /// result still shares the system, the first pin copies it, so that
+  /// result never sees the pin. Returns false (and changes nothing) when
+  /// the pair has no score variable. Requires generateConstraints();
+  /// re-running generateConstraints() rebuilds the seed-only pin set.
   bool pinVariable(const std::string &Rep, propgraph::Role R, double Value);
 
   /// The health report accumulated so far (quarantines after buildGraph,
@@ -338,6 +346,10 @@ private:
   /// corpus order into a system byte-identical to direct generation.
   constraints::ConstraintSystem
   composeFromShards(const spec::SeedSpec &Seed, ThreadPool *P);
+  /// The part of solve() and restoreSolve() that does not optimize: a
+  /// result sharing the session's artifacts, with the stage bookkeeping
+  /// filled in and options().Feedback rows applied to a copy of the system.
+  PipelineResult startResult(unsigned Jobs);
 
   PipelineOptions Opts;
   ProgressObserver *Observer = nullptr;
@@ -348,27 +360,33 @@ private:
   Deadline RunDeadline;
 
   /// One surviving project's slice of the built global graph: its file
-  /// range plus its graph cache key (the shard key's content anchor).
-  /// Recorded by buildGraph() when a shard cache is enabled; empty (and
-  /// SlicesValid false) for adopted graphs.
+  /// and event ranges plus its graph cache key (the shard key's content
+  /// anchor). Recorded by buildGraph() when a shard cache is enabled;
+  /// empty (and SlicesValid false) for adopted graphs.
   struct ProjectSlice {
     size_t ProjectIndex = 0;
     cache::CacheKey GraphKey;
     uint32_t FileBegin = 0;
     uint32_t FileEnd = 0;
+    propgraph::EventId EventBegin = 0;
+    propgraph::EventId EventEnd = 0;
   };
   std::vector<ProjectSlice> Slices;
   bool SlicesValid = false;
   IncrStats Incr;
 
-  propgraph::PropagationGraph Graph;
+  // The artifacts every result shares. Graph and Reps are replaced, never
+  // changed, once built; System is changed only by pinVariable, which
+  // copies it first while a result still holds it.
+  Shared<propgraph::PropagationGraph> Graph;
   bool GraphReady = false;
   size_t NumFiles = 0;
   double BuildSeconds = 0.0;
   std::vector<double> BuildShardSeconds;
 
-  propgraph::RepTable Reps;
-  constraints::ConstraintSystem System;
+  Shared<propgraph::RepTable> Reps;
+  std::shared_ptr<constraints::ConstraintSystem> System =
+      std::make_shared<constraints::ConstraintSystem>();
   bool SystemReady = false;
   bool SystemFromShards = false;
   double GenSeconds = 0.0;

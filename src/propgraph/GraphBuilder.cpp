@@ -1050,10 +1050,8 @@ seldon::propgraph::buildProjectGraph(const pysem::Project &Proj,
                                      const BuildOptions &Opts) {
   PropagationGraph Out;
   if (!Opts.CrossModuleFlows) {
-    for (const pysem::ModuleInfo &M : Proj.modules()) {
-      PropagationGraph G = buildModuleGraph(Proj, M, Opts);
-      Out.append(G);
-    }
+    for (const pysem::ModuleInfo &M : Proj.modules())
+      Out.append(buildModuleGraph(Proj, M, Opts));
     return Out;
   }
 
@@ -1066,7 +1064,7 @@ seldon::propgraph::buildProjectGraph(const pysem::Project &Proj,
     ModuleGraphBuilder Builder(M, Opts, &Artifacts);
     PropagationGraph G = Builder.build();
     Artifacts.offsetIds(static_cast<EventId>(Out.numEvents()));
-    Out.append(G);
+    Out.append(std::move(G));
     for (auto &[Name, Fn] : Artifacts.Exports)
       Linked.Exports.emplace(Name, std::move(Fn));
     for (auto &Site : Artifacts.Calls)

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -37,61 +38,91 @@ void PropagationGraph::addEdge(EventId From, EventId To) {
   ++EdgeCount;
 }
 
-void PropagationGraph::append(const PropagationGraph &Other) {
+void PropagationGraph::append(PropagationGraph &&Other) {
   uint32_t FileOffset = static_cast<uint32_t>(Files.size());
   EventId IdOffset = static_cast<EventId>(Events.size());
-  for (const std::string &F : Other.Files)
-    Files.push_back(F);
-  for (const Event &E : Other.Events) {
-    Event Copy = E;
-    Copy.Id = static_cast<EventId>(Events.size());
-    Copy.FileIdx += FileOffset;
-    Events.push_back(std::move(Copy));
-    Succ.emplace_back();
-    Pred.emplace_back();
+  // Renumber in place, then move the events (with their Reps strings) and
+  // adjacency lists over; range insert keeps the vectors' geometric growth.
+  for (Event &E : Other.Events) {
+    E.Id += IdOffset;
+    E.FileIdx += FileOffset;
   }
-  for (EventId From = 0; From < Other.Events.size(); ++From)
-    for (EventId To : Other.Succ[From]) {
-      Succ[From + IdOffset].push_back(To + IdOffset);
-      Pred[To + IdOffset].push_back(From + IdOffset);
-      ++EdgeCount;
-    }
+  for (std::vector<EventId> &Out : Other.Succ)
+    for (EventId &To : Out)
+      To += IdOffset;
+  // A merged graph lists predecessors in ascending id order, whatever
+  // order the edges were added in.
+  for (std::vector<EventId> &In : Other.Pred) {
+    for (EventId &From : In)
+      From += IdOffset;
+    std::sort(In.begin(), In.end());
+  }
+  auto MoveAll = [](auto &To, auto &From) {
+    To.insert(To.end(), std::make_move_iterator(From.begin()),
+              std::make_move_iterator(From.end()));
+  };
+  MoveAll(Files, Other.Files);
+  MoveAll(Events, Other.Events);
+  MoveAll(Succ, Other.Succ);
+  MoveAll(Pred, Other.Pred);
+  EdgeCount += Other.EdgeCount;
+  Other = PropagationGraph();
 }
 
-std::vector<EventId> PropagationGraph::reachableFrom(EventId Start) const {
-  std::vector<EventId> Out;
-  std::vector<bool> Seen(Events.size(), false);
-  std::vector<EventId> Queue{Start};
-  Seen[Start] = true;
-  for (size_t Head = 0; Head < Queue.size(); ++Head) {
-    EventId Cur = Queue[Head];
-    for (EventId Next : Succ[Cur]) {
-      if (Seen[Next])
-        continue;
-      Seen[Next] = true;
-      Out.push_back(Next);
-      Queue.push_back(Next);
+namespace {
+
+/// Per-thread visited marks for the BFS helpers. A slot holds the epoch of
+/// the last traversal that reached it, so starting a traversal is O(1) and
+/// one costs O(events it touches) — not O(graph), which is what the
+/// per-file constraint extractors would otherwise pay per anchor on the
+/// corpus-wide graph. The array grows to the largest graph the thread has
+/// walked and is zeroed again only when the epoch counter wraps.
+struct VisitMarks {
+  std::vector<uint32_t> Stamp;
+  uint32_t Epoch = 0;
+
+  uint32_t begin(size_t NumEvents) {
+    if (Stamp.size() < NumEvents)
+      Stamp.resize(NumEvents, 0);
+    if (++Epoch == 0) {
+      std::fill(Stamp.begin(), Stamp.end(), 0);
+      Epoch = 1;
     }
+    return Epoch;
   }
-  return Out;
+};
+
+/// Breadth-first walk of \p Adj from \p Start, in discovery order; Start
+/// itself is never reported.
+std::vector<EventId> bfs(const std::vector<std::vector<EventId>> &Adj,
+                         EventId Start) {
+  thread_local VisitMarks Marks;
+  uint32_t Epoch = Marks.begin(Adj.size());
+  uint32_t *Seen = Marks.Stamp.data();
+  Seen[Start] = Epoch;
+  // Out doubles as the queue: it holds exactly the events behind Start.
+  std::vector<EventId> Out;
+  for (size_t Head = 0;; ++Head) {
+    EventId Cur = Head == 0 ? Start : Out[Head - 1];
+    for (EventId Next : Adj[Cur]) {
+      if (Seen[Next] == Epoch)
+        continue;
+      Seen[Next] = Epoch;
+      Out.push_back(Next);
+    }
+    if (Head == Out.size())
+      return Out;
+  }
+}
+
+} // namespace
+
+std::vector<EventId> PropagationGraph::reachableFrom(EventId Start) const {
+  return bfs(Succ, Start);
 }
 
 std::vector<EventId> PropagationGraph::reachingTo(EventId Start) const {
-  std::vector<EventId> Out;
-  std::vector<bool> Seen(Events.size(), false);
-  std::vector<EventId> Queue{Start};
-  Seen[Start] = true;
-  for (size_t Head = 0; Head < Queue.size(); ++Head) {
-    EventId Cur = Queue[Head];
-    for (EventId Prev : Pred[Cur]) {
-      if (Seen[Prev])
-        continue;
-      Seen[Prev] = true;
-      Out.push_back(Prev);
-      Queue.push_back(Prev);
-    }
-  }
-  return Out;
+  return bfs(Pred, Start);
 }
 
 PropagationGraph PropagationGraph::collapseByRep() const {

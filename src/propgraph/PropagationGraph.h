@@ -59,15 +59,18 @@ public:
   size_t numEvents() const { return Events.size(); }
   size_t numEdges() const { return EdgeCount; }
 
-  /// Appends \p Other into this graph, remapping ids and file indices.
-  /// The event sets stay disjoint, matching the global graph of §4.
-  void append(const PropagationGraph &Other);
+  /// Moves \p Other into this graph, remapping ids and file indices, and
+  /// leaves \p Other empty. The event sets stay disjoint, matching the
+  /// global graph of §4. Predecessor lists come out in ascending id order.
+  void append(PropagationGraph &&Other);
 
-  /// Forward BFS from \p Start; returns all reachable events (excluding
-  /// \p Start itself unless it lies on a cycle).
+  /// Forward BFS from \p Start; returns every event reachable from it in
+  /// discovery order, never \p Start itself (even on a cycle). Costs
+  /// O(events reached), not O(graph): safe to call per anchor on a corpus
+  /// graph, from any number of threads at once.
   std::vector<EventId> reachableFrom(EventId Start) const;
 
-  /// Backward BFS from \p Start.
+  /// Backward BFS from \p Start, with the same contract.
   std::vector<EventId> reachingTo(EventId Start) const;
 
   /// Vertex contraction: merges all events with equal primary

@@ -443,8 +443,8 @@ std::string Service::opStatus() {
       "\"durability\":%s,"
       "\"metrics\":{\"parse_files\":%llu,\"taint_analyses\":%llu}}",
       ProtocolVersion, Corpus.size(), Warm.NumFiles,
-      Warm.Graph.numEvents(), Warm.Graph.numEdges(),
-      Warm.System.NumCandidates, Warm.System.Constraints.size(),
+      Warm.Graph->numEvents(), Warm.Graph->numEdges(),
+      Warm.System->NumCandidates, Warm.System->Constraints.size(),
       Warm.Learned.size(),
       renderJsonNumber(Opts.Threshold).c_str(), Warm.Solve.Iterations,
       solver::stopReasonName(Warm.Solve.Stop), Warm.Solve.BestIteration,
@@ -523,8 +523,8 @@ std::string Service::opLearn(const Request &Req, Deadline &D) {
       "\"warm_start\":%s},"
       "\"health\":\"%s\"}",
       Warm.Solve.Iterations, solver::stopReasonName(Warm.Solve.Stop),
-      Warm.Solve.BestIteration, Warm.System.Constraints.size(),
-      Warm.System.NumCandidates, Warm.Learned.size(),
+      Warm.Solve.BestIteration, Warm.System->Constraints.size(),
+      Warm.System->NumCandidates, Warm.Learned.size(),
       WarmStart ? "true" : "false",
       static_cast<int>(Warm.SolverTier),
       static_cast<unsigned long long>(Warm.Incr.ShardsHit),

@@ -214,7 +214,8 @@ TEST_F(CliTest, MetricsJsonOutput) {
                    std::istreambuf_iterator<char>());
   EXPECT_NE(Json.find("\"enabled\": true"), std::string::npos) << Json;
   for (const char *Key :
-       {"\"session/parse\"", "\"session/constraints\"", "\"session/solve\"",
+       {"\"load\"", "\"session/build\"", "\"session/constraints\"",
+        "\"session/solve\"", "\"write\"",
         "\"parse.files\"", "\"solve.iterations\"", "\"solver.rows_after\"",
         "\"solver.simd_tier\"", "\"solve.objective\"",
         "\"session/solve/compile\"", "\"solver.compile_seconds\"",

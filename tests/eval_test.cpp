@@ -253,8 +253,8 @@ TEST(ExperimentDriverTest, SmallCorpusEndToEnd) {
   PipelineOpts.Solve.LearningRate = 0.02;
 
   CorpusRun Run = runStandardExperiment(CorpusOpts, PipelineOpts);
-  EXPECT_GT(Run.Pipeline.System.NumCandidates, 100u);
-  EXPECT_GT(Run.Pipeline.System.Constraints.size(), 10u);
+  EXPECT_GT(Run.Pipeline.System->NumCandidates, 100u);
+  EXPECT_GT(Run.Pipeline.System->Constraints.size(), 10u);
 
   // Inferred specs must add reports over the seed-only run.
   auto SeedReports = analyzeCorpus(Run, /*UseLearned=*/false);

@@ -280,8 +280,8 @@ TEST(FeedbackTest, EmptyFeedbackIsByteIdenticalToPassive) {
   FeedbackSet Empty;
   infer::PipelineResult WithEmpty = Setup.solveWith(&Empty);
   EXPECT_FALSE(WithEmpty.UsedFeedback);
-  EXPECT_EQ(WithEmpty.System.Constraints.size(),
-            Passive.System.Constraints.size());
+  EXPECT_EQ(WithEmpty.System->Constraints.size(),
+            Passive.System->Constraints.size());
   EXPECT_EQ(spec::writeLearnedSpec(WithEmpty.Learned, 0.0),
             spec::writeLearnedSpec(Passive.Learned, 0.0));
 }
@@ -294,14 +294,14 @@ TEST(FeedbackTest, SolvesMoveInTheVerdictDirection) {
   infer::PipelineResult Passive = Setup.solveWith(nullptr);
 
   // Judge a deterministic mid-range variable.
-  std::vector<uint8_t> Pinned(Passive.System.Vars.numVars(), 0);
-  for (const auto &[Var, Value] : Passive.System.Pinned) {
+  std::vector<uint8_t> Pinned(Passive.System->Vars.numVars(), 0);
+  for (const auto &[Var, Value] : Passive.System->Pinned) {
     (void)Value;
     Pinned[Var] = 1;
   }
   VarId Judged = 0;
   bool Found = false;
-  for (VarId V = 0; V < Passive.System.Vars.numVars(); ++V) {
+  for (VarId V = 0; V < Passive.System->Vars.numVars(); ++V) {
     if (Pinned[V])
       continue;
     double Score = Passive.Solve.X[V];
@@ -313,8 +313,8 @@ TEST(FeedbackTest, SolvesMoveInTheVerdictDirection) {
   }
   ASSERT_TRUE(Found) << "no mid-range score variable in the test corpus";
   const std::string &Rep =
-      Passive.Reps.repString(Passive.System.Vars.repOf(Judged));
-  propgraph::Role Role = Passive.System.Vars.roleOf(Judged);
+      Passive.Reps->repString(Passive.System->Vars.repOf(Judged));
+  propgraph::Role Role = Passive.System->Vars.roleOf(Judged);
   double Before = Passive.Solve.X[Judged];
 
   FeedbackSet Accept;
@@ -341,11 +341,11 @@ TEST(FeedbackTest, FeedbackSolvesAreByteIdenticalAcrossBackends) {
   // have pinned variables but still produce matched evidence rows only if
   // present; use whatever the system scored).
   infer::PipelineResult Probe = Setup.solveWith(nullptr);
-  ASSERT_GT(Probe.System.Vars.numVars(), 2u);
-  Set.accept(Probe.Reps.repString(Probe.System.Vars.repOf(0)),
-             Probe.System.Vars.roleOf(0));
-  Set.reject(Probe.Reps.repString(Probe.System.Vars.repOf(1)),
-             Probe.System.Vars.roleOf(1));
+  ASSERT_GT(Probe.System->Vars.numVars(), 2u);
+  Set.accept(Probe.Reps->repString(Probe.System->Vars.repOf(0)),
+             Probe.System->Vars.roleOf(0));
+  Set.reject(Probe.Reps->repString(Probe.System->Vars.repOf(1)),
+             Probe.System->Vars.roleOf(1));
 
   // The returned System carries the evidence rows, so the legacy oracle
   // solves exactly the reweighted system Session::solve did.
@@ -353,7 +353,7 @@ TEST(FeedbackTest, FeedbackSolvesAreByteIdenticalAcrossBackends) {
   ASSERT_TRUE(R.UsedFeedback);
   ASSERT_GT(R.Feedback.EvidenceRows, 0u);
   infer::PipelineOptions P = Setup.options();
-  solver::Objective Oracle = R.System.makeObjective(P.Lambda);
+  solver::Objective Oracle = R.System->makeObjective(P.Lambda);
   solver::SolveResult Ref = solver::AdamOptimizer(P.Solve).minimize(Oracle);
 
   EXPECT_EQ(R.Solve.Iterations, Ref.Iterations);

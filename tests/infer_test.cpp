@@ -150,9 +150,9 @@ TEST(PipelineTest, CollapsedLearningStillInfers) {
   Opts.CollapseForLearning = true;
   PipelineResult R = runPipeline(Corpus, Seed, Opts);
   EXPECT_GT(R.Learned.score("mystery.filter()", Role::Sanitizer), 0.3);
-  EXPECT_TRUE(R.Graph.isAcyclic())
+  EXPECT_TRUE(R.Graph->isAcyclic())
       << "the taint-analysis graph must remain uncollapsed";
-  EXPECT_EQ(R.Graph.numEvents(), 8u * 3u);
+  EXPECT_EQ(R.Graph->numEvents(), 8u * 3u);
 }
 
 TEST(PipelineTest, WarmStartPreservesSolutionUnderTinyBudget) {
@@ -186,9 +186,9 @@ TEST(PipelineTest, StatisticsPopulated) {
   spec::SeedSpec Seed = spec::SeedSpec::parse("o: web.read()\n");
   PipelineResult R = runPipeline(Corpus, Seed, testOptions());
   EXPECT_EQ(R.NumFiles, 6u);
-  EXPECT_GT(R.System.NumCandidates, 0u);
-  EXPECT_GT(R.System.Constraints.size(), 0u);
-  EXPECT_GE(R.System.AvgBackoffOptions, 1.0);
+  EXPECT_GT(R.System->NumCandidates, 0u);
+  EXPECT_GT(R.System->Constraints.size(), 0u);
+  EXPECT_GE(R.System->AvgBackoffOptions, 1.0);
   EXPECT_GE(R.inferenceSeconds(), 0.0);
 }
 

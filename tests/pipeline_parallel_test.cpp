@@ -54,17 +54,17 @@ TEST(PipelineParallelTest, FourJobsBitIdenticalToSerial) {
   EXPECT_EQ(Parallel.JobsUsed, 4u);
 
   // Identical structure: graph, variable table, constraint system.
-  ASSERT_EQ(Serial.Graph.events().size(), Parallel.Graph.events().size());
-  ASSERT_EQ(Serial.System.Vars.numVars(), Parallel.System.Vars.numVars());
-  for (uint32_t V = 0; V < Serial.System.Vars.numVars(); ++V) {
-    EXPECT_EQ(Serial.System.Vars.repOf(V), Parallel.System.Vars.repOf(V));
-    EXPECT_EQ(Serial.System.Vars.roleOf(V), Parallel.System.Vars.roleOf(V));
+  ASSERT_EQ(Serial.Graph->events().size(), Parallel.Graph->events().size());
+  ASSERT_EQ(Serial.System->Vars.numVars(), Parallel.System->Vars.numVars());
+  for (uint32_t V = 0; V < Serial.System->Vars.numVars(); ++V) {
+    EXPECT_EQ(Serial.System->Vars.repOf(V), Parallel.System->Vars.repOf(V));
+    EXPECT_EQ(Serial.System->Vars.roleOf(V), Parallel.System->Vars.roleOf(V));
   }
-  ASSERT_EQ(Serial.System.Constraints.size(),
-            Parallel.System.Constraints.size());
-  for (size_t I = 0; I < Serial.System.Constraints.size(); ++I) {
-    const solver::LinearConstraint &A = Serial.System.Constraints[I];
-    const solver::LinearConstraint &B = Parallel.System.Constraints[I];
+  ASSERT_EQ(Serial.System->Constraints.size(),
+            Parallel.System->Constraints.size());
+  for (size_t I = 0; I < Serial.System->Constraints.size(); ++I) {
+    const solver::LinearConstraint &A = Serial.System->Constraints[I];
+    const solver::LinearConstraint &B = Parallel.System->Constraints[I];
     ASSERT_EQ(A.Lhs.size(), B.Lhs.size()) << "constraint " << I;
     ASSERT_EQ(A.Rhs.size(), B.Rhs.size()) << "constraint " << I;
     for (size_t T = 0; T < A.Lhs.size(); ++T) {
@@ -76,7 +76,7 @@ TEST(PipelineParallelTest, FourJobsBitIdenticalToSerial) {
       EXPECT_EQ(A.Rhs[T].Coef, B.Rhs[T].Coef);
     }
   }
-  EXPECT_EQ(Serial.System.Pinned, Parallel.System.Pinned);
+  EXPECT_EQ(Serial.System->Pinned, Parallel.System->Pinned);
 
   // Identical solve trace and scores — not merely close: bit-identical.
   EXPECT_EQ(Serial.Solve.Iterations, Parallel.Solve.Iterations);
@@ -102,14 +102,14 @@ TEST(PipelineParallelTest, StagedReuseSkipsReparsing) {
 
   // Sweep a generation knob without re-parsing: the graph is untouched,
   // the constraint system changes.
-  S.options().Gen.RepCutoff = First.System.NumCandidates > 0 ? 10 : 5;
+  S.options().Gen.RepCutoff = First.System->NumCandidates > 0 ? 10 : 5;
   S.generateConstraints(Data.Seed);
   PipelineResult Second = S.solve();
 
   EXPECT_EQ(S.graph().events().size(), Events);
-  EXPECT_EQ(First.Graph.events().size(), Second.Graph.events().size());
-  EXPECT_NE(First.System.Constraints.size(),
-            Second.System.Constraints.size())
+  EXPECT_EQ(First.Graph->events().size(), Second.Graph->events().size());
+  EXPECT_NE(First.System->Constraints.size(),
+            Second.System->Constraints.size())
       << "raising the cutoff must change the constraint system";
 
   // The re-run matches a fresh session configured the same way.

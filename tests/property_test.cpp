@@ -40,7 +40,7 @@ TEST_P(CorpusSweepTest, EndToEndInvariants) {
     EXPECT_EQ(P.numErrors(), 0u) << "corpus seed " << GetParam();
     PropagationGraph G = buildProjectGraph(P);
     EXPECT_TRUE(G.isAcyclic());
-    Global.append(G);
+    Global.append(std::move(G));
   }
 
   // Every event: non-empty reps, sane candidates, valid file index.
@@ -103,9 +103,9 @@ TEST(DeterminismTest, PipelineIsBitDeterministic) {
   ASSERT_EQ(A.Solve.X.size(), B.Solve.X.size());
   for (size_t I = 0; I < A.Solve.X.size(); ++I)
     EXPECT_DOUBLE_EQ(A.Solve.X[I], B.Solve.X[I]) << "variable " << I;
-  EXPECT_EQ(A.System.Constraints.size(), B.System.Constraints.size());
-  EXPECT_EQ(A.Graph.numEvents(), B.Graph.numEvents());
-  EXPECT_EQ(A.Graph.numEdges(), B.Graph.numEdges());
+  EXPECT_EQ(A.System->Constraints.size(), B.System->Constraints.size());
+  EXPECT_EQ(A.Graph->numEvents(), B.Graph->numEvents());
+  EXPECT_EQ(A.Graph->numEdges(), B.Graph->numEdges());
 }
 
 //===----------------------------------------------------------------------===//

@@ -436,8 +436,8 @@ TEST(GraphBuilderTest, AppendKeepsGraphsDisjoint) {
   GraphFixture F1("import web\nx = web.read()\n");
   GraphFixture F2("import db\ndb.run(1)\n");
   PropagationGraph G;
-  G.append(F1.Graph);
-  G.append(F2.Graph);
+  G.append(PropagationGraph(F1.Graph));
+  G.append(PropagationGraph(F2.Graph));
   EXPECT_EQ(G.numEvents(), F1.Graph.numEvents() + F2.Graph.numEvents());
   EXPECT_EQ(G.numEdges(), F1.Graph.numEdges() + F2.Graph.numEdges());
   EXPECT_EQ(G.files().size(), 2u);

@@ -34,7 +34,8 @@ struct Fixture {
   propgraph::PropagationGraph Graph =
       propgraph::buildProjectGraph(Data.Projects.front());
   ConstraintShard Shard = extractShard(
-      Graph, 0, static_cast<uint32_t>(Graph.files().size()));
+      Graph, 0, static_cast<uint32_t>(Graph.files().size()), 0,
+      static_cast<propgraph::EventId>(Graph.numEvents()));
   cache::CacheKey Key = cache::projectShardKey(
       cache::projectCacheKey(Data.Projects.front(),
                              propgraph::BuildOptions()),

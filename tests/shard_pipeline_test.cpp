@@ -78,16 +78,16 @@ TEST_P(ShardPipelineTest, ComposedSystemIsByteIdenticalToDirect) {
 
   // Not just the rendered spec: the composed system itself matches the
   // directly generated one, constraint by constraint, term by term.
-  ASSERT_EQ(Warm.System.Vars.numVars(), Direct.System.Vars.numVars());
-  for (uint32_t V = 0; V < Direct.System.Vars.numVars(); ++V) {
-    EXPECT_EQ(Warm.System.Vars.repOf(V), Direct.System.Vars.repOf(V));
-    EXPECT_EQ(Warm.System.Vars.roleOf(V), Direct.System.Vars.roleOf(V));
+  ASSERT_EQ(Warm.System->Vars.numVars(), Direct.System->Vars.numVars());
+  for (uint32_t V = 0; V < Direct.System->Vars.numVars(); ++V) {
+    EXPECT_EQ(Warm.System->Vars.repOf(V), Direct.System->Vars.repOf(V));
+    EXPECT_EQ(Warm.System->Vars.roleOf(V), Direct.System->Vars.roleOf(V));
   }
-  ASSERT_EQ(Warm.System.Constraints.size(),
-            Direct.System.Constraints.size());
-  for (size_t I = 0; I < Direct.System.Constraints.size(); ++I) {
-    const solver::LinearConstraint &A = Direct.System.Constraints[I];
-    const solver::LinearConstraint &B = Warm.System.Constraints[I];
+  ASSERT_EQ(Warm.System->Constraints.size(),
+            Direct.System->Constraints.size());
+  for (size_t I = 0; I < Direct.System->Constraints.size(); ++I) {
+    const solver::LinearConstraint &A = Direct.System->Constraints[I];
+    const solver::LinearConstraint &B = Warm.System->Constraints[I];
     ASSERT_EQ(A.Lhs.size(), B.Lhs.size()) << "constraint " << I;
     ASSERT_EQ(A.Rhs.size(), B.Rhs.size()) << "constraint " << I;
     for (size_t T = 0; T < A.Lhs.size(); ++T) {
@@ -99,9 +99,9 @@ TEST_P(ShardPipelineTest, ComposedSystemIsByteIdenticalToDirect) {
       EXPECT_EQ(A.Rhs[T].Coef, B.Rhs[T].Coef);
     }
   }
-  EXPECT_EQ(Warm.System.Pinned, Direct.System.Pinned);
-  EXPECT_EQ(Warm.System.NumCandidates, Direct.System.NumCandidates);
-  EXPECT_EQ(Warm.System.AvgBackoffOptions, Direct.System.AvgBackoffOptions);
+  EXPECT_EQ(Warm.System->Pinned, Direct.System->Pinned);
+  EXPECT_EQ(Warm.System->NumCandidates, Direct.System->NumCandidates);
+  EXPECT_EQ(Warm.System->AvgBackoffOptions, Direct.System->AvgBackoffOptions);
 
   // Mixed: delete half the shard entries; exactly those projects
   // re-extract, the rest replay.

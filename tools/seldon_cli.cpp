@@ -37,6 +37,7 @@
 #include "support/StrUtil.h"
 #include "support/TablePrinter.h"
 #include "support/ThreadPool.h"
+#include "support/Trace.h"
 
 #include <algorithm>
 #include <cerrno>
@@ -329,6 +330,9 @@ spec::SeedSpec loadSeed(const CliOptions &Opts, bool &Ok) {
 }
 
 std::vector<pysem::Project> loadCorpus(const CliOptions &Opts, bool &Ok) {
+  // Reading and parsing every source file happens here, before any
+  // session stage opens its span.
+  trace::Span LoadSpan(metrics::Registry::global(), "load");
   Ok = true;
   std::vector<pysem::Project> Corpus;
   std::vector<std::vector<std::string>> Errors;
@@ -562,8 +566,8 @@ int cmdLearn(const CliOptions &Opts) {
   std::fprintf(stderr,
                "analyzed %zu files over %u job(s): %zu candidates, "
                "%zu constraints, solved in %.2fs (%d iterations)\n",
-               R.NumFiles, R.JobsUsed, R.System.NumCandidates,
-               R.System.Constraints.size(), R.SolveSeconds,
+               R.NumFiles, R.JobsUsed, R.System->NumCandidates,
+               R.System->Constraints.size(), R.SolveSeconds,
                R.Solve.Iterations);
   if (R.UsedFeedback)
     std::fprintf(stderr,
@@ -598,6 +602,7 @@ int cmdLearn(const CliOptions &Opts) {
   // The spec is written even on a degraded run — it is valid for the
   // surviving corpus — but the exit code (2) flags the degradation.
   int HealthRc = reportHealth(R.Health);
+  trace::Span WriteSpan(metrics::Registry::global(), "write");
   if (Opts.OutFile.empty())
     return writeOutput(Opts,
                        spec::writeLearnedSpec(R.Learned, Opts.Threshold))
@@ -605,6 +610,7 @@ int cmdLearn(const CliOptions &Opts) {
                : 1;
   spec::IOResult<size_t> Saved =
       spec::saveLearnedSpec(R.Learned, Opts.OutFile, Opts.Threshold);
+  WriteSpan.finish();
   if (!Saved) {
     std::fprintf(stderr, "error: %s\n", Saved.Error.c_str());
     return 1;

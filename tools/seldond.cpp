@@ -298,7 +298,7 @@ int main(int Argc, char **Argv) {
                "seldond: warm — %zu project(s), %zu file(s), %zu "
                "constraint(s), spec size %zu, health %s\n",
                Opts.Svc.CorpusDirs.size(), Warm.NumFiles,
-               Warm.System.Constraints.size(), Warm.Learned.size(),
+               Warm.System->Constraints.size(), Warm.Learned.size(),
                infer::runStatusName(Warm.Health.status()));
 
   installSignalHandlers();
