@@ -295,9 +295,9 @@ seldon::constraints::generateConstraints(const PropagationGraph &Graph,
   // The constraints are copied, not moved, and the blocks are freed only
   // once all are copied. The workers' term arrays lie scattered between
   // their reachability sets; fresh copies lie side by side, unless they
-  // reuse the chunks of blocks freed along the way. Every later pass over
-  // the whole system (the solver compile, explainRep behind each daemon
-  // query) reads the compact layout faster.
+  // reuse the chunks of blocks freed along the way. The solver compile,
+  // which reads every row of the system once per solve, reads the compact
+  // layout faster.
   size_t Total = 0;
   for (const FileBlock &Block : PerFile)
     Total += Block.Constraints.size();

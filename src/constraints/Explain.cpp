@@ -19,8 +19,10 @@ void renderTerms(const ConstraintSystem &Sys, const RepTable &Reps,
   for (size_t I = 0; I < Terms.size(); ++I) {
     if (I)
       Out += " + ";
-    if (Terms[I].Coef != 1.0f)
-      Out += formatString("%.3g*", Terms[I].Coef);
+    if (Terms[I].Coef != 1.0f) {
+      appendGeneral(Out, Terms[I].Coef, 3);
+      Out += '*';
+    }
     Out += Reps.repString(Sys.Vars.repOf(Terms[I].Var));
     Out += '^';
     Out += roleName(Sys.Vars.roleOf(Terms[I].Var));
@@ -44,16 +46,15 @@ bool mentions(const std::vector<solver::Term> &Terms, VarId V) {
 
 } // namespace
 
-std::string
-seldon::constraints::renderConstraint(const ConstraintSystem &Sys,
-                                      const RepTable &Reps,
-                                      const solver::LinearConstraint &C) {
-  std::string Out;
+void seldon::constraints::renderConstraint(const ConstraintSystem &Sys,
+                                           const RepTable &Reps,
+                                           const solver::LinearConstraint &C,
+                                           std::string &Out) {
   renderTerms(Sys, Reps, C.Lhs, Out);
   Out += " <= ";
   renderTerms(Sys, Reps, C.Rhs, Out);
-  Out += formatString(" + %.2f", C.C);
-  return Out;
+  Out += " + ";
+  appendFixed(Out, C.C, 2);
 }
 
 Explanation seldon::constraints::explainRep(const ConstraintSystem &Sys,
@@ -75,13 +76,13 @@ Explanation seldon::constraints::explainRep(const ConstraintSystem &Sys,
       Out.PinnedValue = Value;
     }
 
-  for (const solver::LinearConstraint &C : Sys.Constraints) {
+  RowIndex::Slice Rows = Sys.rowIndex().rowsOf(V);
+  Out.Constraints.reserve(Rows.size());
+  for (uint32_t Row : Rows) {
+    const solver::LinearConstraint &C = Sys.Constraints[Row];
     bool Lhs = mentions(C.Lhs, V);
-    bool Rhs = mentions(C.Rhs, V);
-    if (!Lhs && !Rhs)
-      continue;
     ExplainedConstraint EC;
-    EC.Text = renderConstraint(Sys, Reps, C);
+    renderConstraint(Sys, Reps, C, EC.Text);
     EC.Residual = X.empty() ? 0.0
                             : evalSide(C.Lhs, X) - evalSide(C.Rhs, X) - C.C;
     EC.OnLhs = Lhs;

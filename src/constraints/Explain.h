@@ -25,11 +25,12 @@
 namespace seldon {
 namespace constraints {
 
-/// Renders one constraint as `lhs <= rhs + C`, with variables shown as
-/// `rep^role` and non-unit coefficients prefixed (`0.5*rep^role`).
-std::string renderConstraint(const ConstraintSystem &Sys,
-                             const propgraph::RepTable &Reps,
-                             const solver::LinearConstraint &C);
+/// Appends one constraint to \p Out as `lhs <= rhs + C`, with variables
+/// shown as `rep^role` and non-unit coefficients prefixed (`0.5*rep^role`,
+/// printf `%.3g`); C prints as printf `%.2f`.
+void renderConstraint(const ConstraintSystem &Sys,
+                      const propgraph::RepTable &Reps,
+                      const solver::LinearConstraint &C, std::string &Out);
 
 /// One constraint's appearance in an explanation.
 struct ExplainedConstraint {
@@ -53,7 +54,9 @@ struct Explanation {
 
 /// Explains (\p Rep, \p R) under the solved assignment \p X (indexed by
 /// the system's variable ids). Returns Found = false when the pair has no
-/// variable (blacklisted, below cutoff, or never a candidate).
+/// variable (blacklisted, below cutoff, or never a candidate). Visits only
+/// the rows the system's row index lists for the variable, in ascending
+/// row order, so an answer costs its own size rather than the system's.
 Explanation explainRep(const ConstraintSystem &Sys,
                        const propgraph::RepTable &Reps,
                        const std::string &Rep, propgraph::Role R,

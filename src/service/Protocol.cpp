@@ -88,13 +88,15 @@ bool seldon::service::parseRequest(const std::string &Line, size_t MaxBytes,
   return true;
 }
 
-std::string seldon::service::renderOkResponse(const JsonValue &Id,
-                                              const std::string &ResultJson) {
+void seldon::service::renderOkResponseHead(const JsonValue &Id,
+                                           std::string &Out) {
   // Envelope keys in fixed order; `result` last so byte-oriented consumers
   // can splice the payload off the end of the line.
-  return formatString("{\"v\":%d,\"id\":%s,\"ok\":true,\"result\":%s}",
-                      ProtocolVersion, Id.render().c_str(),
-                      ResultJson.c_str());
+  Out += "{\"v\":";
+  Out += std::to_string(ProtocolVersion);
+  Out += ",\"id\":";
+  Out += Id.render();
+  Out += ",\"ok\":true,\"result\":";
 }
 
 std::string seldon::service::renderErrorResponse(const JsonValue &Id,

@@ -90,10 +90,12 @@ struct RequestError {
 bool parseRequest(const std::string &Line, size_t MaxBytes, Request &Out,
                   RequestError &Err);
 
-/// Renders a success envelope: {"v":1,"id":<id>,"ok":true,"result":<R>}.
-/// \p ResultJson must already be rendered JSON. No trailing newline.
-std::string renderOkResponse(const JsonValue &Id,
-                             const std::string &ResultJson);
+/// Appends the head of a success envelope,
+/// `{"v":1,"id":<id>,"ok":true,"result":`, to \p Out. The caller appends
+/// the rendered result JSON right after it and closes the envelope with
+/// `}`, so a large answer is rendered once, in place, instead of being
+/// copied into the envelope. `result` comes last for that reason too.
+void renderOkResponseHead(const JsonValue &Id, std::string &Out);
 
 /// Renders a failure envelope:
 /// {"v":1,"id":<id>,"ok":false,"error":{"code":"...","message":"..."}}.

@@ -38,29 +38,43 @@ seldon::service::queryRep(const constraints::ConstraintSystem &System,
   Q.Pinned = E.Pinned;
   Q.PinnedValue = E.PinnedValue;
   Q.Constraints.reserve(E.Constraints.size());
-  for (const constraints::ExplainedConstraint &C : E.Constraints)
-    Q.Constraints.push_back({C.Text, C.Residual, C.OnLhs});
+  for (constraints::ExplainedConstraint &C : E.Constraints)
+    Q.Constraints.push_back({std::move(C.Text), C.Residual, C.OnLhs});
   return Q;
 }
 
-std::string seldon::service::renderQueryJson(const QueryResult &Q) {
-  std::string Out = "{\"rep\":\"" + jsonEscape(Q.Rep) + "\",\"role\":\"" +
-                    propgraph::roleName(Q.Role) + "\",\"found\":" +
-                    (Q.Found ? "true" : "false");
-  Out += formatString(",\"score\":%.6f", Q.Score);
+void seldon::service::renderQueryJson(const QueryResult &Q,
+                                      std::string &Out) {
+  // One reserve for the whole answer: the texts dominate it, and each
+  // constraint adds a fixed frame plus its residual.
+  size_t Size = 128 + 2 * Q.Rep.size();
+  for (const QueryConstraint &C : Q.Constraints)
+    Size += C.Text.size() + 64;
+  Out.reserve(Out.size() + Size);
+
+  Out += "{\"rep\":\"";
+  appendJsonEscaped(Out, Q.Rep);
+  Out += "\",\"role\":\"";
+  Out += propgraph::roleName(Q.Role);
+  Out += Q.Found ? "\",\"found\":true" : "\",\"found\":false";
+  Out += ",\"score\":";
+  appendFixed(Out, Q.Score, 6);
   Out += Q.Pinned ? ",\"pinned\":true" : ",\"pinned\":false";
-  Out += formatString(",\"pinned_value\":%.6f", Q.PinnedValue);
+  Out += ",\"pinned_value\":";
+  appendFixed(Out, Q.PinnedValue, 6);
   Out += ",\"constraints\":[";
   for (size_t I = 0; I < Q.Constraints.size(); ++I) {
     const QueryConstraint &C = Q.Constraints[I];
     if (I)
-      Out += ",";
-    Out += formatString("{\"kind\":\"%s\",\"residual\":%.6f,\"text\":\"%s\"}",
-                        C.Caps ? "caps" : "demands", C.Residual,
-                        jsonEscape(C.Text).c_str());
+      Out += ',';
+    Out += C.Caps ? "{\"kind\":\"caps\",\"residual\":"
+                  : "{\"kind\":\"demands\",\"residual\":";
+    appendFixed(Out, C.Residual, 6);
+    Out += ",\"text\":\"";
+    appendJsonEscaped(Out, C.Text);
+    Out += "\"}";
   }
   Out += "]}";
-  return Out;
 }
 
 std::string seldon::service::renderQueryText(const QueryResult &Q) {

@@ -66,15 +66,25 @@ QueryResult queryRep(const constraints::ConstraintSystem &System,
                      const propgraph::RepTable &Reps, const std::string &Rep,
                      propgraph::Role Role, const std::vector<double> &X);
 
-/// The machine-readable rendering (single line, no trailing newline):
+/// The machine-readable rendering (single line, no trailing newline),
+/// appended to \p Out:
 ///
 ///   {"rep":"...","role":"sanitizer","found":true,"score":0.750000,
 ///    "pinned":true,"pinned_value":1.000000,
 ///    "constraints":[{"kind":"demands","residual":-0.250000,"text":"..."}]}
 ///
-/// Scores and residuals print at fixed %.6f (the same precision as
+/// Scores and residuals print as printf %.6f (the same precision as
 /// spec::writeLearnedSpec), so the output is byte-stable across runs.
-std::string renderQueryJson(const QueryResult &Q);
+/// Appending lets the daemon render the answer straight into its
+/// response envelope.
+void renderQueryJson(const QueryResult &Q, std::string &Out);
+
+/// renderQueryJson into a fresh string (the `seldon explain --json` form).
+inline std::string renderQueryJson(const QueryResult &Q) {
+  std::string Out;
+  renderQueryJson(Q, Out);
+  return Out;
+}
 
 /// The human-readable rendering (the classic `seldon explain` output):
 ///

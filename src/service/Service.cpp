@@ -342,19 +342,28 @@ std::string Service::overloadedResponse(const std::string &Line) const {
                    Opts.MaxInFlight));
 }
 
+Service::OpKind Service::opKindOf(const std::string &Op) {
+  for (size_t K = 0; K < NumOpKinds - 1; ++K)
+    if (Op == OpNames[K])
+      return static_cast<OpKind>(K);
+  return OpKind::Other;
+}
+
 std::string Service::handle(const std::string &Line) {
-  Handled.fetch_add(1, std::memory_order_relaxed);
   Request Req;
   RequestError Err;
-  if (!parseRequest(Line, Opts.MaxRequestBytes, Req, Err)) {
-    Failed.fetch_add(1, std::memory_order_relaxed);
-    return renderErrorResponse(Req.Id, Err.Code, Err.Message);
-  }
-  if (shuttingDown()) {
-    Failed.fetch_add(1, std::memory_order_relaxed);
-    return renderErrorResponse(Req.Id, ErrorCode::ShuttingDown,
-                               "service is draining");
-  }
+  bool Parsed = parseRequest(Line, Opts.MaxRequestBytes, Req, Err);
+  OpKind Kind = Parsed ? opKindOf(Req.Op) : OpKind::Other;
+  OpCounts &Counts = ByOp[static_cast<size_t>(Kind)];
+  Counts.Handled.fetch_add(1, std::memory_order_relaxed);
+  auto Fail = [&](ErrorCode Code, const std::string &Message) {
+    Counts.Failed.fetch_add(1, std::memory_order_relaxed);
+    return renderErrorResponse(Req.Id, Code, Message);
+  };
+  if (!Parsed)
+    return Fail(Err.Code, Err.Message);
+  if (shuttingDown())
+    return Fail(ErrorCode::ShuttingDown, "service is draining");
   try {
     if (!Started)
       throw OpError(ErrorCode::Internal, "service not started");
@@ -366,37 +375,48 @@ std::string Service::handle(const std::string &Line) {
       Budget = DS->numberValue();
     }
     D.arm(Budget);
-    return renderOkResponse(Req.Id, dispatch(Req, D));
+    // The result renders straight into the envelope; the transport
+    // appends the line's newline in place.
+    std::string Out;
+    renderOkResponseHead(Req.Id, Out);
+    dispatch(Kind, Req, D, Out);
+    Out += '}';
+    return Out;
   } catch (const OpError &E) {
-    Failed.fetch_add(1, std::memory_order_relaxed);
-    return renderErrorResponse(Req.Id, E.Code, E.what());
+    return Fail(E.Code, E.what());
   } catch (const DeadlineError &E) {
-    Failed.fetch_add(1, std::memory_order_relaxed);
-    return renderErrorResponse(Req.Id, ErrorCode::Deadline, E.what());
+    return Fail(ErrorCode::Deadline, E.what());
   } catch (const std::exception &E) {
-    Failed.fetch_add(1, std::memory_order_relaxed);
-    return renderErrorResponse(Req.Id, ErrorCode::Internal, E.what());
+    return Fail(ErrorCode::Internal, E.what());
   } catch (...) {
-    Failed.fetch_add(1, std::memory_order_relaxed);
-    return renderErrorResponse(Req.Id, ErrorCode::Internal,
-                               "unknown exception");
+    return Fail(ErrorCode::Internal, "unknown exception");
   }
 }
 
-std::string Service::dispatch(const Request &Req, Deadline &D) {
-  if (Req.Op == "status")
-    return opStatus();
-  if (Req.Op == "query")
-    return opQuery(Req, D);
-  if (Req.Op == "learn")
-    return opLearn(Req, D);
-  if (Req.Op == "feedback")
-    return opFeedback(Req, D);
-  if (Req.Op == "taint")
-    return opTaint(Req, D);
-  if (Req.Op == "shutdown") {
+void Service::dispatch(OpKind Kind, const Request &Req, Deadline &D,
+                       std::string &Out) {
+  switch (Kind) {
+  case OpKind::Status:
+    Out += opStatus();
+    return;
+  case OpKind::Query:
+    opQuery(Req, D, Out);
+    return;
+  case OpKind::Learn:
+    Out += opLearn(Req, D);
+    return;
+  case OpKind::Feedback:
+    Out += opFeedback(Req, D);
+    return;
+  case OpKind::Taint:
+    Out += opTaint(Req, D);
+    return;
+  case OpKind::Shutdown:
     ShuttingDown.store(true, std::memory_order_release);
-    return "{\"stopping\":true}";
+    Out += "{\"stopping\":true}";
+    return;
+  case OpKind::Other:
+    break;
   }
   throw OpError(ErrorCode::UnknownOp,
                 formatString("unknown op \"%s\" (expected status, query, "
@@ -428,6 +448,22 @@ std::string Service::opStatus() {
         static_cast<unsigned long long>(DS.StaleTempsRemoved),
         renderJsonNumber(DS.RecoverySeconds).c_str());
   }
+  unsigned long long Handled = 0, Failed = 0;
+  std::string ByOpJson = "{";
+  for (size_t K = 0; K < NumOpKinds; ++K) {
+    uint64_t H = ByOp[K].Handled.load(std::memory_order_relaxed);
+    uint64_t F = ByOp[K].Failed.load(std::memory_order_relaxed);
+    Handled += H;
+    Failed += F;
+    ByOpJson += K ? ",\"" : "\"";
+    ByOpJson += OpNames[K];
+    ByOpJson += "\":{\"handled\":";
+    ByOpJson += std::to_string(H);
+    ByOpJson += ",\"failed\":";
+    ByOpJson += std::to_string(F);
+    ByOpJson += '}';
+  }
+  ByOpJson += '}';
   return formatString(
       "{\"protocol\":%d,"
       "\"corpus\":{\"projects\":%zu,\"files\":%zu,\"events\":%zu,"
@@ -439,7 +475,8 @@ std::string Service::opStatus() {
       "\"health\":{\"status\":\"%s\",\"quarantined\":%zu},"
       "\"cache\":{\"enabled\":%s,\"hits\":%llu,\"misses\":%llu,"
       "\"stores\":%llu},"
-      "\"requests\":{\"handled\":%llu,\"failed\":%llu,\"active\":%zu},"
+      "\"requests\":{\"handled\":%llu,\"failed\":%llu,\"active\":%zu,"
+      "\"by_op\":%s},"
       "\"durability\":%s,"
       "\"metrics\":{\"parse_files\":%llu,\"taint_analyses\":%llu}}",
       ProtocolVersion, Corpus.size(), Warm.NumFiles,
@@ -454,17 +491,14 @@ std::string Service::opStatus() {
       static_cast<unsigned long long>(Warm.Cache.Hits),
       static_cast<unsigned long long>(Warm.Cache.Misses),
       static_cast<unsigned long long>(Warm.Cache.Stores),
-      static_cast<unsigned long long>(
-          Handled.load(std::memory_order_relaxed)),
-      static_cast<unsigned long long>(
-          Failed.load(std::memory_order_relaxed)),
-      Admitted.load(std::memory_order_relaxed), Durability.c_str(),
+      Handled, Failed, Admitted.load(std::memory_order_relaxed),
+      ByOpJson.c_str(), Durability.c_str(),
       static_cast<unsigned long long>(Reg.counter("parse.files").value()),
       static_cast<unsigned long long>(
           Reg.counter("taint.analyses").value()));
 }
 
-std::string Service::opQuery(const Request &Req, Deadline &D) {
+void Service::opQuery(const Request &Req, Deadline &D, std::string &Out) {
   const JsonValue *Rep = Req.Params.get("rep");
   if (!Rep || !Rep->isString() || Rep->stringValue().empty())
     badRequest("\"rep\" must be a non-empty string");
@@ -483,7 +517,7 @@ std::string Service::opQuery(const Request &Req, Deadline &D) {
   QueryResult Q =
       queryRep(Warm.System, Warm.Reps, Rep->stringValue(), Role,
                Warm.Solve.X);
-  return renderQueryJson(Q);
+  renderQueryJson(Q, Out);
 }
 
 std::string Service::opLearn(const Request &Req, Deadline &D) {

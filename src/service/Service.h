@@ -179,14 +179,32 @@ public:
   const infer::PipelineResult &warm() const { return Warm; }
 
 private:
-  std::string dispatch(const Request &Req, Deadline &D);
+  /// The ops `status` counts per kind under requests.by_op; Other
+  /// covers lines that fail to parse and unknown op names.
+  enum class OpKind : uint8_t {
+    Status,
+    Query,
+    Learn,
+    Feedback,
+    Taint,
+    Shutdown,
+    Other,
+  };
+  static constexpr size_t NumOpKinds = 7;
+  static constexpr const char *OpNames[NumOpKinds] = {
+      "status", "query", "learn", "feedback", "taint", "shutdown", "other"};
+  static OpKind opKindOf(const std::string &Op);
+
+  /// Runs \p Req (of kind \p Kind) and appends its result JSON to \p Out.
+  void dispatch(OpKind Kind, const Request &Req, Deadline &D,
+                std::string &Out);
   /// Loads the configured corpus directories into \p Out; false with a
   /// diagnostic in \p Error when a directory is unreadable.
   bool loadCorpus(std::vector<pysem::Project> &Out, std::string &Error);
   /// A fresh Session wired to the configured options and caches.
   std::unique_ptr<infer::Session> makeSession();
   std::string opStatus();
-  std::string opQuery(const Request &Req, Deadline &D);
+  void opQuery(const Request &Req, Deadline &D, std::string &Out);
   std::string opLearn(const Request &Req, Deadline &D);
   std::string opFeedback(const Request &Req, Deadline &D);
   std::string opTaint(const Request &Req, Deadline &D);
@@ -247,8 +265,13 @@ private:
   constraints::FeedbackOptions WarmFO;
 
   std::atomic<size_t> Admitted{0};
-  std::atomic<uint64_t> Handled{0};
-  std::atomic<uint64_t> Failed{0};
+  /// Requests handled and failed per op kind; `status` reports them and
+  /// their sums.
+  struct OpCounts {
+    std::atomic<uint64_t> Handled{0};
+    std::atomic<uint64_t> Failed{0};
+  };
+  OpCounts ByOp[NumOpKinds];
   std::atomic<bool> ShuttingDown{false};
 };
 

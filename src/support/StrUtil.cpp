@@ -2,6 +2,8 @@
 
 #include "support/StrUtil.h"
 
+#include <cassert>
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
 
@@ -61,20 +63,56 @@ std::string seldon::formatString(const char *Fmt, ...) {
 std::string seldon::jsonEscape(std::string_view Text) {
   std::string Out;
   Out.reserve(Text.size());
-  for (char C : Text) {
+  appendJsonEscaped(Out, Text);
+  return Out;
+}
+
+void seldon::appendJsonEscaped(std::string &Out, std::string_view Text) {
+  // Copy runs of characters that need no escape in one append each.
+  size_t Run = 0;
+  for (size_t I = 0; I < Text.size(); ++I) {
+    unsigned char C = static_cast<unsigned char>(Text[I]);
+    if (C >= 0x20 && C != '"' && C != '\\')
+      continue;
+    Out.append(Text.data() + Run, I - Run);
+    Run = I + 1;
     switch (C) {
     case '"': Out += "\\\""; break;
     case '\\': Out += "\\\\"; break;
     case '\n': Out += "\\n"; break;
     case '\r': Out += "\\r"; break;
     case '\t': Out += "\\t"; break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20)
-        Out += formatString("\\u%04x", C);
-      else
-        Out += C;
+    default: {
+      static const char Hex[] = "0123456789abcdef";
+      const char Esc[] = {'\\', 'u', '0', '0', Hex[C >> 4], Hex[C & 0xf]};
+      Out.append(Esc, sizeof(Esc));
       break;
     }
+    }
   }
-  return Out;
+  Out.append(Text.data() + Run, Text.size() - Run);
+}
+
+namespace {
+
+void appendToChars(std::string &Out, double V, std::chars_format Format,
+                   int Precision) {
+  // %.<P>f of a finite double has at most 309 integer digits; the
+  // precisions used here are small, so this bound is never reached.
+  char Buf[352];
+  assert(Precision >= 0 && Precision <= 17 && "precision out of range");
+  std::to_chars_result R =
+      std::to_chars(Buf, Buf + sizeof(Buf), V, Format, Precision);
+  assert(R.ec == std::errc() && "to_chars buffer too small");
+  Out.append(Buf, R.ptr);
+}
+
+} // namespace
+
+void seldon::appendFixed(std::string &Out, double V, int Precision) {
+  appendToChars(Out, V, std::chars_format::fixed, Precision);
+}
+
+void seldon::appendGeneral(std::string &Out, double V, int Precision) {
+  appendToChars(Out, V, std::chars_format::general, Precision);
 }

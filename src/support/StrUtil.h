@@ -39,6 +39,18 @@ std::string formatString(const char *Fmt, ...)
 /// backslashes, control characters).
 std::string jsonEscape(std::string_view Text);
 
+/// Appends jsonEscape(\p Text) to \p Out without a temporary string.
+void appendJsonEscaped(std::string &Out, std::string_view Text);
+
+/// Appends \p V exactly as printf's `%.<Precision>f` prints it in the C
+/// locale (std::to_chars with fixed precision is specified to match it,
+/// including `-0.000000`, `inf` and `nan`), without a format-string pass.
+void appendFixed(std::string &Out, double V, int Precision);
+
+/// Appends \p V exactly as printf's `%.<Precision>g` prints it in the C
+/// locale, through std::to_chars.
+void appendGeneral(std::string &Out, double V, int Precision);
+
 } // namespace seldon
 
 #endif // SELDON_SUPPORT_STRUTIL_H

@@ -41,6 +41,15 @@ TaintAnalyzer::analyze(const RoleResolver &Roles) const {
   std::vector<Violation> Out;
   std::vector<RoleMask> Mask = resolveRoles(Roles);
 
+  // BFS scratch shared by every source. Each search clears only the Seen
+  // marks the previous one set (Touched: the queued events plus the
+  // sanitizers that absorbed taint), so a search costs what it reaches,
+  // not the size of the graph. Parent needs no reset: a witness walk only
+  // follows entries written by the current search, ending at Src.
+  std::vector<EventId> Parent(Graph.numEvents(), InvalidEvent);
+  std::vector<uint8_t> Seen(Graph.numEvents(), 0);
+  std::vector<EventId> Queue, Touched;
+
   for (const Event &SrcEvent : Graph.events()) {
     if (!maskHas(Mask[SrcEvent.Id], Role::Source))
       continue;
@@ -48,18 +57,21 @@ TaintAnalyzer::analyze(const RoleResolver &Roles) const {
 
     // Forward BFS that never expands *through* sanitizers: a sanitizer
     // event absorbs the taint (its output is clean).
-    std::vector<EventId> Parent(Graph.numEvents(), InvalidEvent);
-    std::vector<bool> Seen(Graph.numEvents(), false);
-    std::vector<EventId> Queue{Src};
-    Seen[Src] = true;
+    for (EventId E : Touched)
+      Seen[E] = 0;
+    Touched.assign(1, Src);
+    Queue.assign(1, Src);
+    Seen[Src] = 1;
+    Parent[Src] = InvalidEvent;
 
     for (size_t Head = 0; Head < Queue.size(); ++Head) {
       EventId Cur = Queue[Head];
       for (EventId Next : Graph.successors(Cur)) {
         if (Seen[Next])
           continue;
-        Seen[Next] = true;
+        Seen[Next] = 1;
         Parent[Next] = Cur;
+        Touched.push_back(Next);
         if (maskHas(Mask[Next], Role::Sanitizer))
           continue; // Taint stops here.
         if (maskHas(Mask[Next], Role::Sink)) {

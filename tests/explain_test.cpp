@@ -87,8 +87,9 @@ TEST(ExplainTest, NonCandidateRoleNotFound) {
 TEST(ExplainTest, RenderConstraintShape) {
   ExplainFixture F;
   ASSERT_FALSE(F.Result.System->Constraints.empty());
-  std::string Text = constraints::renderConstraint(
-      F.Result.System, F.Result.Reps, F.Result.System->Constraints.front());
+  std::string Text;
+  constraints::renderConstraint(F.Result.System, F.Result.Reps,
+                                F.Result.System->Constraints.front(), Text);
   EXPECT_NE(Text.find(" <= "), std::string::npos);
   EXPECT_NE(Text.find(" + 0.75"), std::string::npos);
 }

@@ -234,8 +234,10 @@ TEST(ProtocolTest, OversizedLineIsRejectedBeforeParsing) {
 TEST(ProtocolTest, EnvelopeKeyOrderIsFixed) {
   // `result` is last so consumers can splice the payload off the end of
   // the line without a JSON parser; check.sh relies on this.
-  EXPECT_EQ(renderOkResponse(JsonValue::makeNumber(7), "{\"a\":1}"),
-            "{\"v\":1,\"id\":7,\"ok\":true,\"result\":{\"a\":1}}");
+  std::string Ok;
+  renderOkResponseHead(JsonValue::makeNumber(7), Ok);
+  Ok += "{\"a\":1}}";
+  EXPECT_EQ(Ok, "{\"v\":1,\"id\":7,\"ok\":true,\"result\":{\"a\":1}}");
   EXPECT_EQ(renderErrorResponse(JsonValue::makeNull(), ErrorCode::BadJson,
                                 "bad \"stuff\""),
             "{\"v\":1,\"id\":null,\"ok\":false,\"error\":{\"code\":"
@@ -607,6 +609,48 @@ TEST_F(ServiceTest, StatusReportsDurabilityCounters) {
   EXPECT_NE(P.find("\"durability\":{\"enabled\":false}"), std::string::npos)
       << P;
   EXPECT_EQ(Plain->stateStore(), nullptr);
+}
+
+TEST_F(ServiceTest, StatusCountsRequestsPerOp) {
+  auto Svc = startService(testOptions());
+  ASSERT_TRUE(Svc);
+  const char *Lines[] = {
+      "{\"v\":1,\"id\":1,\"op\":\"query\",\"rep\":\"flask.escape()\","
+      "\"role\":\"sanitizer\"}",
+      "{\"v\":1,\"id\":2,\"op\":\"query\",\"rep\":\"flask.escape()\"}",
+      "{\"v\":1,\"id\":3,\"op\":\"query\"}", // bad-request
+      "{\"v\":1,\"id\":4,\"op\":\"taint\"}", // bad-request
+      "{\"v\":1,\"id\":5,\"op\":\"frobnicate\"}",
+      "not json",
+      "{\"v\":1,\"id\":6,\"op\":\"status\"}",
+  };
+  for (const char *Line : Lines)
+    Svc->serve(Line);
+  std::string R = Svc->serve("{\"v\":1,\"id\":7,\"op\":\"status\"}");
+  JsonValue Status;
+  std::string Error;
+  ASSERT_TRUE(parseJson(resultOf(R), Status, Error)) << Error << ": " << R;
+  const JsonValue *Requests = Status.get("requests");
+  ASSERT_TRUE(Requests && Requests->isObject()) << R;
+  EXPECT_EQ(Requests->get("handled")->numberValue(), 8);
+  EXPECT_EQ(Requests->get("failed")->numberValue(), 4);
+  const JsonValue *ByOp = Requests->get("by_op");
+  ASSERT_TRUE(ByOp && ByOp->isObject()) << R;
+  struct Want {
+    const char *Op;
+    double Handled, Failed;
+  };
+  // The status being answered counts itself; unparseable lines and
+  // unknown op names land under "other".
+  for (const Want &W : {Want{"status", 2, 0}, Want{"query", 3, 1},
+                        Want{"learn", 0, 0}, Want{"feedback", 0, 0},
+                        Want{"taint", 1, 1}, Want{"shutdown", 0, 0},
+                        Want{"other", 2, 2}}) {
+    const JsonValue *Op = ByOp->get(W.Op);
+    ASSERT_TRUE(Op) << W.Op << " missing: " << R;
+    EXPECT_EQ(Op->get("handled")->numberValue(), W.Handled) << W.Op;
+    EXPECT_EQ(Op->get("failed")->numberValue(), W.Failed) << W.Op;
+  }
 }
 
 TEST_F(ServiceTest, PersistIsIdempotent) {

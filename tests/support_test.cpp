@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstring>
+#include <limits>
 #include <set>
 #include <sstream>
 
@@ -265,6 +268,110 @@ TEST(StrUtilTest, FormatString) {
   EXPECT_EQ(formatString("%d/%d = %.2f", 1, 2, 0.5), "1/2 = 0.50");
   EXPECT_EQ(formatString("%s", "hello"), "hello");
   EXPECT_EQ(formatString("empty"), "empty");
+}
+
+TEST(StrUtilTest, AppendJsonEscapedMatchesJsonEscape) {
+  // Every byte value, alone and between plain runs.
+  for (int C = 0; C < 256; ++C) {
+    std::string Text = "ab" + std::string(1, static_cast<char>(C)) + "cd";
+    std::string Out = "prefix:";
+    appendJsonEscaped(Out, Text);
+    EXPECT_EQ(Out, "prefix:" + jsonEscape(Text)) << C;
+  }
+  EXPECT_EQ(jsonEscape(std::string("\x01\x1f", 2)), "\\u0001\\u001f");
+  EXPECT_EQ(jsonEscape(""), "");
+}
+
+//===----------------------------------------------------------------------===//
+// appendFixed / appendGeneral: byte-equal to printf
+//===----------------------------------------------------------------------===//
+
+std::string printfDouble(const char *Fmt, double V) {
+  char Buf[512];
+  int N = std::snprintf(Buf, sizeof(Buf), Fmt, V);
+  return std::string(Buf, static_cast<size_t>(N));
+}
+
+/// Checks the to_chars path against printf for every format the explain
+/// renderers use: %.6f (scores, residuals), %.2f (constants) and %.3g
+/// (float coefficients promoted to double).
+void expectPrintfEqual(double V) {
+  std::string Fixed6, Fixed2, General3;
+  appendFixed(Fixed6, V, 6);
+  appendFixed(Fixed2, V, 2);
+  EXPECT_EQ(Fixed6, printfDouble("%.6f", V));
+  EXPECT_EQ(Fixed2, printfDouble("%.2f", V));
+  double AsFloat = static_cast<double>(static_cast<float>(V));
+  appendGeneral(General3, AsFloat, 3);
+  EXPECT_EQ(General3, printfDouble("%.3g", AsFloat));
+}
+
+TEST(NumberFormatTest, SpecialValues) {
+  const double Inf = std::numeric_limits<double>::infinity();
+  const double NaN = std::numeric_limits<double>::quiet_NaN();
+  for (double V : {0.0, -0.0, 1.0, -1.0, 1e300, -1e300, 1e-300, Inf, -Inf,
+                   NaN, -NaN, std::numeric_limits<double>::max(),
+                   -std::numeric_limits<double>::max(),
+                   std::numeric_limits<double>::denorm_min(),
+                   std::numeric_limits<double>::min()}) {
+    SCOPED_TRACE(V);
+    expectPrintfEqual(V);
+  }
+  std::string Out;
+  appendFixed(Out, -0.0, 6);
+  EXPECT_EQ(Out, "-0.000000");
+}
+
+TEST(NumberFormatTest, TinyNegativesRoundToNegativeZero) {
+  for (double V : {-1e-7, -4.9999e-7, -1e-12, -5e-324, -0.004, -0.0049}) {
+    SCOPED_TRACE(V);
+    expectPrintfEqual(V);
+  }
+  std::string Out;
+  appendFixed(Out, -1e-9, 6);
+  EXPECT_EQ(Out, "-0.000000");
+}
+
+TEST(NumberFormatTest, HalfwayCases) {
+  // Exactly representable ties: printf rounds them to even.
+  for (double V : {0.125, 0.375, 0.625, 0.875, -0.125, 1.125, 2.5, 12.25,
+                   12.75, 0.0625, 1.0625, 100.5, 1000.5, 1234.5, 0.5, 1.5,
+                   0.0000005, 0.0000015, 1.0000005, 123456.5, 99.995,
+                   0.995, 9.995, 999.5}) {
+    SCOPED_TRACE(V);
+    expectPrintfEqual(V);
+  }
+}
+
+TEST(NumberFormatTest, RandomBitPatterns) {
+  Rng R(20190622);
+  for (int I = 0; I < 200000; ++I) {
+    uint64_t Bits = R.next();
+    double V;
+    std::memcpy(&V, &Bits, sizeof(V));
+    expectPrintfEqual(V);
+    // Values in the range the renderers actually see.
+    double Small = static_cast<double>(static_cast<int64_t>(Bits % 4000001) -
+                                       2000000) /
+                   static_cast<double>(1 + (Bits >> 40) % 100000);
+    expectPrintfEqual(Small);
+    if (::testing::Test::HasFailure()) {
+      ADD_FAILURE() << "bits " << Bits;
+      return;
+    }
+  }
+}
+
+TEST(NumberFormatTest, RandomFloatCoefficients) {
+  Rng R(7);
+  for (int I = 0; I < 200000; ++I) {
+    uint32_t Bits = static_cast<uint32_t>(R.next());
+    float F;
+    std::memcpy(&F, &Bits, sizeof(F));
+    std::string Out;
+    appendGeneral(Out, F, 3);
+    ASSERT_EQ(Out, printfDouble("%.3g", F)) << "bits " << Bits;
+  }
 }
 
 //===----------------------------------------------------------------------===//
