@@ -82,7 +82,7 @@ int main() {
     return Out;
   };
   size_t Shown = 0;
-  for (const solver::LinearConstraint &C : Sys.Constraints) {
+  for (const solver::ConstraintRef C : Sys.Constraints) {
     if (++Shown > 12) {
       std::printf("  ... (%zu more)\n", Sys.Constraints.size() - 12);
       break;

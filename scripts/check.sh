@@ -31,42 +31,46 @@ cmake --build "$ROOT/build-tsan" -j "$JOBS" \
            cache_pipeline_test fault_pipeline_test service_test \
            shard_fault_test shard_pipeline_test active_learning_test \
            feedback_test solver_stop_test graph_merge_test \
-           artifact_sharing_test query_index_test
+           artifact_sharing_test query_index_test constraint_rows_test
 ctest --test-dir "$ROOT/build-tsan" --output-on-failure --no-tests=error \
   -j "$JOBS" \
-  -R 'ThreadPoolTest|MetricsTest|TraceTest|MetricsPipelineTest|PipelineParallelTest|CompileTest|CompiledEquivalenceTest|SimdLayoutTest|SimdEquivalenceTest|SimdDispatchTest|CodecFaultTest|CacheFaultTest|CachePipelineTest|CacheStalenessTest|CacheDegradedTest|CacheKeyTest|FaultPipelineTest|ServiceTest|ServiceJsonTest|ProtocolTest|ShardCodecTest|ShardCodecFaultTest|ShardCacheFaultTest|ShardPipelineTest|ShardStalenessTest|ShardKeyTest|ShardWarmStartTest|ShardFallbackTest|ShardDegradedTest|ShardPipelineComboTest|ActiveLearningTest|UncertaintyTest|FileOracleTest|FeedbackTest|AdamStopTest|SessionPatienceTest|CompileCoalesceTest|GraphAppendTest|ReachabilityTest|ArtifactSharingTest|QueryIndexTest'
+  -R 'ThreadPoolTest|MetricsTest|TraceTest|MetricsPipelineTest|PipelineParallelTest|CompileTest|CompiledEquivalenceTest|SimdLayoutTest|SimdEquivalenceTest|SimdDispatchTest|CodecFaultTest|CacheFaultTest|CachePipelineTest|CacheStalenessTest|CacheDegradedTest|CacheKeyTest|FaultPipelineTest|ServiceTest|ServiceJsonTest|ProtocolTest|ShardCodecTest|ShardCodecFaultTest|ShardCacheFaultTest|ShardPipelineTest|ShardStalenessTest|ShardKeyTest|ShardWarmStartTest|ShardFallbackTest|ShardDegradedTest|ShardPipelineComboTest|ActiveLearningTest|UncertaintyTest|FileOracleTest|FeedbackTest|AdamStopTest|SessionPatienceTest|CompileCoalesceTest|GraphAppendTest|ReachabilityTest|ArtifactSharingTest|QueryIndexTest|ConstraintRows|PrepareSystemTest'
 
 echo
-echo "=== ubsan: solver kernels, graph merge/reachability, the row index and number formatting under UndefinedBehaviorSanitizer ==="
+echo "=== ubsan: solver kernels, graph merge/reachability, the row store and row index, and number formatting under UndefinedBehaviorSanitizer ==="
 cmake -B "$ROOT/build-ubsan" -S "$ROOT" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=undefined,float-cast-overflow -fno-sanitize-recover=all -g"
 cmake --build "$ROOT/build-ubsan" -j "$JOBS" \
   --target compiled_objective_test simd_objective_test solver_test \
-           solver_stop_test graph_merge_test query_index_test support_test
+           solver_stop_test graph_merge_test query_index_test support_test \
+           constraint_rows_test
 ctest --test-dir "$ROOT/build-ubsan" --output-on-failure --no-tests=error \
   -j "$JOBS" \
-  -R 'CompileTest|CompileCoalesceTest|CompiledEquivalenceTest|SimdLayoutTest|SimdEquivalenceTest|SimdDispatchTest|ObjectiveTest|AdamTest|AdamStopTest|SessionPatienceTest|ProjectedGradientTest|GraphAppendTest|ReachabilityTest|QueryIndexTest|NumberFormatTest'
+  -R 'CompileTest|CompileCoalesceTest|CompiledEquivalenceTest|SimdLayoutTest|SimdEquivalenceTest|SimdDispatchTest|ObjectiveTest|AdamTest|AdamStopTest|SessionPatienceTest|ProjectedGradientTest|GraphAppendTest|ReachabilityTest|QueryIndexTest|NumberFormatTest|ConstraintRows|PrepareSystemTest'
 
 echo
-echo "=== asan: service, durability, artifact-sharing, row-index and taint tests under AddressSanitizer ==="
+echo "=== asan: service, durability, artifact-sharing, row-store, row-index and taint tests under AddressSanitizer ==="
 # The durability layer is raw-fd and buffer-slicing code (journal frames,
 # snapshot decoding, torn-tail truncation) plus a daemon that dies at
 # injected crash points — exactly where a heap overrun or use-after-free
 # would hide. The recovery harness forks the asan-built seldond, so the
 # kill-and-restart sweep runs sanitized end to end. The artifact-sharing
 # suite checks that results outliving copy-on-write never read freed
-# systems; the row-index suite that no index outlives the rows it lists,
-# and the taint reference suite that the reused BFS arrays stay in bounds.
+# systems; the row-store suite that the flat offsets and the parallel
+# block merge stay in bounds; the row-index suite that no index outlives
+# the rows it lists, and the taint reference suite that the reused BFS
+# arrays stay in bounds.
 cmake -B "$ROOT/build-asan" -S "$ROOT" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=address -fno-omit-frame-pointer -g"
 cmake --build "$ROOT/build-asan" -j "$JOBS" \
   --target service_test durability_fault_test recovery_harness_test \
-           artifact_sharing_test query_index_test taint_analyzer_test
+           artifact_sharing_test query_index_test taint_analyzer_test \
+           constraint_rows_test
 ctest --test-dir "$ROOT/build-asan" --output-on-failure --no-tests=error \
   -j "$JOBS" \
-  -R 'ServiceTest|ServiceJsonTest|ProtocolTest|JournalCodecTest|SnapshotCodecTest|StateStoreTest|RecoveryHarnessTest|ArtifactSharingTest|QueryIndexTest|TaintReference'
+  -R 'ServiceTest|ServiceJsonTest|ProtocolTest|JournalCodecTest|SnapshotCodecTest|StateStoreTest|RecoveryHarnessTest|ArtifactSharingTest|QueryIndexTest|TaintReference|ConstraintRows|PrepareSystemTest'
 
 echo
 echo "=== metrics smoke: seldon learn --metrics-out on a toy repo ==="

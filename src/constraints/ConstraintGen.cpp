@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdint>
 #include <iterator>
 #include <unordered_map>
 
@@ -21,8 +22,8 @@ namespace {
 /// Per-file constraint extraction context. Reachability queries stay inside
 /// one file because per-file subgraphs are edge-disjoint. Reads the shared
 /// backoff options but interns variables into its own local table and
-/// writes only its own Out buffer, so one extractor per file can run
-/// concurrently with no shared mutable state. Constraints come back with
+/// appends rows only to its own flat Out block, so one extractor per file
+/// can run concurrently with no shared mutable state. Rows come back with
 /// file-local variable ids; the caller replays each local table into the
 /// global one (in file order) and remaps, which reproduces the exact id
 /// assignment of a serial run.
@@ -31,8 +32,7 @@ public:
   FileExtractor(const PropagationGraph &Graph,
                 const std::vector<std::vector<RepId>> &EventReps,
                 const GenOptions &Opts, const std::vector<EventId> &Local,
-                VarTable &LocalVars,
-                std::vector<solver::LinearConstraint> &Out)
+                VarTable &LocalVars, solver::ConstraintRows &Out)
       : Graph(Graph), EventReps(EventReps), Opts(Opts), Local(Local),
         LocalVars(LocalVars), Out(Out) {}
 
@@ -66,32 +66,29 @@ private:
         continue;
 
       // Fig. 4a: san(v) + snk(t) <= sum of sources into v + C.
-      std::vector<solver::Term> SourceSum = sumTerms(SourcesBefore,
-                                                     Role::Source);
+      sumTerms(SourcesBefore, Role::Source);
       size_t Pairs = 0;
       for (EventId Snk : SinksAfter) {
         if (++Pairs > Opts.MaxPairsPerAnchor)
           break;
-        solver::LinearConstraint LC;
-        appendAvgTerms(LC.Lhs, San, Role::Sanitizer);
-        appendAvgTerms(LC.Lhs, Snk, Role::Sink);
-        LC.Rhs = SourceSum;
-        LC.C = Opts.C;
-        Out.push_back(std::move(LC));
+        addAvgTerms(San, Role::Sanitizer);
+        addAvgTerms(Snk, Role::Sink);
+        Out.beginRhs();
+        Out.addTerms(Sum.data(), Sum.data() + Sum.size());
+        Out.endRow(Opts.C);
       }
 
       // Fig. 4b: src(s) + san(v) <= sum of sinks after v + C.
-      std::vector<solver::Term> SinkSum = sumTerms(SinksAfter, Role::Sink);
+      sumTerms(SinksAfter, Role::Sink);
       Pairs = 0;
       for (EventId Src : SourcesBefore) {
         if (++Pairs > Opts.MaxPairsPerAnchor)
           break;
-        solver::LinearConstraint LC;
-        appendAvgTerms(LC.Lhs, Src, Role::Source);
-        appendAvgTerms(LC.Lhs, San, Role::Sanitizer);
-        LC.Rhs = SinkSum;
-        LC.C = Opts.C;
-        Out.push_back(std::move(LC));
+        addAvgTerms(Src, Role::Source);
+        addAvgTerms(San, Role::Sanitizer);
+        Out.beginRhs();
+        Out.addTerms(Sum.data(), Sum.data() + Sum.size());
+        Out.endRow(Opts.C);
       }
     }
   }
@@ -108,17 +105,16 @@ private:
           continue;
         if (++Pairs > Opts.MaxPairsPerAnchor)
           break;
-        solver::LinearConstraint LC;
-        appendAvgTerms(LC.Lhs, Src, Role::Source);
-        appendAvgTerms(LC.Lhs, Snk, Role::Sink);
+        addAvgTerms(Src, Role::Source);
+        addAvgTerms(Snk, Role::Sink);
+        Out.beginRhs();
         for (EventId Mid : SansAfter) {
           if (Mid == Snk || Mid == Src)
             continue;
           if (contains(forwardSet(Mid), Snk))
-            appendAvgTerms(LC.Rhs, Mid, Role::Sanitizer);
+            addAvgTerms(Mid, Role::Sanitizer);
         }
-        LC.C = Opts.C;
-        Out.push_back(std::move(LC));
+        Out.endRow(Opts.C);
       }
     }
   }
@@ -155,23 +151,27 @@ private:
     return Set;
   }
 
-  /// Appends the backoff-averaged terms of (event, role) — paper §4.3:
-  /// (1/|Reps(v)|) · Σ over the surviving options. Variables are interned
-  /// into the file-local table in first-use order, mirroring the order a
-  /// serial run would create them.
-  void appendAvgTerms(std::vector<solver::Term> &Terms, EventId Id, Role R) {
+  /// The backoff-averaged terms of (event, role) — paper §4.3:
+  /// (1/|Reps(v)|) · Σ over the surviving options, handed to \p Add.
+  /// Variables are interned into the file-local table in first-use order,
+  /// mirroring the order a serial run would create them.
+  template <typename AddFn> void avgTerms(EventId Id, Role R, AddFn Add) {
     const std::vector<RepId> &Options = EventReps[Id];
     float Coef = 1.0f / static_cast<float>(Options.size());
     for (RepId Rep : Options)
-      Terms.push_back({LocalVars.varFor(Rep, R), Coef});
+      Add(solver::Term{LocalVars.varFor(Rep, R), Coef});
   }
 
-  std::vector<solver::Term> sumTerms(const std::vector<EventId> &Ids,
-                                     Role R) {
-    std::vector<solver::Term> Terms;
+  /// Appends the averaged terms of (event, role) to the open row.
+  void addAvgTerms(EventId Id, Role R) {
+    avgTerms(Id, R, [this](solver::Term T) { Out.addTerm(T); });
+  }
+
+  /// Sets Sum to the averaged terms of every event in \p Ids.
+  void sumTerms(const std::vector<EventId> &Ids, Role R) {
+    Sum.clear();
     for (EventId Id : Ids)
-      appendAvgTerms(Terms, Id, R);
-    return Terms;
+      avgTerms(Id, R, [this](solver::Term T) { Sum.push_back(T); });
   }
 
   const PropagationGraph &Graph;
@@ -179,10 +179,27 @@ private:
   const GenOptions &Opts;
   const std::vector<EventId> &Local;
   VarTable &LocalVars;
-  std::vector<solver::LinearConstraint> &Out;
+  solver::ConstraintRows &Out;
   std::vector<EventId> Sources, Sanitizers, Sinks;
+  /// The shared right-hand side of an anchor's Fig. 4a or 4b rows.
+  std::vector<solver::Term> Sum;
   std::unordered_map<EventId, std::vector<EventId>> FwdCache;
 };
+
+/// Runs \p Body(Begin, End) over [0, \p N) in chunks of \p Chunk items,
+/// on \p Pool when non-null.
+template <typename BodyFn>
+void forChunks(size_t N, size_t Chunk, ThreadPool *Pool, BodyFn Body) {
+  const size_t NumChunks = (N + Chunk - 1) / Chunk;
+  auto Run = [&](size_t C, unsigned) {
+    Body(C * Chunk, std::min(N, (C + 1) * Chunk));
+  };
+  if (Pool)
+    Pool->parallelFor(NumChunks, Run);
+  else
+    for (size_t C = 0; C < NumChunks; ++C)
+      Run(C, 0);
+}
 
 } // namespace
 
@@ -196,21 +213,31 @@ seldon::constraints::prepareSystem(const PropagationGraph &Graph,
   Sys.EventReps.resize(Events.size());
 
   // Surviving backoff options: frequency cutoff (§4.3) + blacklist (§7.2).
-  // Each event writes only its own slot, so the filter fans out freely.
-  auto FilterEvent = [&](size_t I, unsigned) {
-    const Event &E = Events[I];
-    std::vector<RepId> Options = Reps.backoffOptions(E, Opts.RepCutoff);
-    std::vector<RepId> Kept;
-    for (RepId Id : Options)
-      if (!Seed.isBlacklisted(Reps.repString(Id)))
-        Kept.push_back(Id);
-    Sys.EventReps[E.Id] = std::move(Kept);
+  // Both depend only on the representation, and a corpus repeats a few
+  // thousand representations across a hundred thousand event options, so
+  // the verdict is taken once per distinct representation. Each event then
+  // keeps its options that pass, in their most-to-least-specific order.
+  // Every index writes only its own slots, so both loops fan out freely,
+  // in fixed chunks (one shared counter bump per chunk, not per item).
+  std::vector<uint8_t> Keep(Reps.size(), 0);
+  auto DecideReps = [&](size_t Begin, size_t End) {
+    for (size_t Id = Begin; Id < End; ++Id)
+      Keep[Id] = Reps.occurrences(static_cast<RepId>(Id)) >= Opts.RepCutoff &&
+                 !Seed.isBlacklisted(Reps.repString(static_cast<RepId>(Id)));
   };
-  if (Pool)
-    Pool->parallelFor(Events.size(), FilterEvent);
-  else
-    for (size_t I = 0; I < Events.size(); ++I)
-      FilterEvent(I, 0);
+  auto FilterEvents = [&](size_t Begin, size_t End) {
+    for (size_t I = Begin; I < End; ++I) {
+      const Event &E = Events[I];
+      std::vector<RepId> &Kept = Sys.EventReps[E.Id];
+      for (const std::string &Rep : E.Reps) {
+        RepId Id;
+        if (Reps.lookup(Rep, Id) && Keep[Id])
+          Kept.push_back(Id);
+      }
+    }
+  };
+  forChunks(Keep.size(), 64, Pool, DecideReps);
+  forChunks(Events.size(), 1024, Pool, FilterEvents);
 
   size_t BackoffTotal = 0;
   for (const std::vector<RepId> &Kept : Sys.EventReps) {
@@ -257,11 +284,8 @@ seldon::constraints::generateConstraints(const PropagationGraph &Graph,
   for (const Event &E : Events)
     ByFile[E.FileIdx].push_back(E.Id);
 
-  struct FileBlock {
-    VarTable Vars;
-    std::vector<solver::LinearConstraint> Constraints;
-  };
-  std::vector<FileBlock> PerFile(ByFile.size());
+  std::vector<VarTable> FileVars(ByFile.size());
+  std::vector<solver::ConstraintRows> FileRows(ByFile.size());
   unsigned Workers = Pool ? Pool->numWorkers() : 1;
   std::vector<double> ShardSeconds(Workers, 0.0);
   auto ExtractFile = [&](size_t F, unsigned Worker) {
@@ -276,7 +300,7 @@ seldon::constraints::generateConstraints(const PropagationGraph &Graph,
       fault::maybeThrow(fault::Point::ConstraintGen, F);
     Timer ShardTimer;
     FileExtractor Extractor(Graph, Sys.EventReps, Opts, ByFile[F],
-                            PerFile[F].Vars, PerFile[F].Constraints);
+                            FileVars[F], FileRows[F]);
     Extractor.run();
     ShardSeconds[Worker] += ShardTimer.seconds();
   };
@@ -286,35 +310,20 @@ seldon::constraints::generateConstraints(const PropagationGraph &Graph,
     for (size_t F = 0; F < ByFile.size(); ++F)
       ExtractFile(F, 0);
 
-  // Deterministic merge: walk shards in file order, replay each local
+  // Deterministic merge: walk the files in order and replay each local
   // variable table into the global one (local ids are in first-use order,
   // so this reproduces the exact ids a serial run assigns — including
-  // variables a serial run creates for sums that end up in no constraint),
-  // then remap and concatenate the constraint blocks.
-  //
-  // The constraints are copied, not moved, and the blocks are freed only
-  // once all are copied. The workers' term arrays lie scattered between
-  // their reachability sets; fresh copies lie side by side, unless they
-  // reuse the chunks of blocks freed along the way. The solver compile,
-  // which reads every row of the system once per solve, reads the compact
-  // layout faster.
-  size_t Total = 0;
-  for (const FileBlock &Block : PerFile)
-    Total += Block.Constraints.size();
-  Sys.Constraints.reserve(Total);
-  for (const FileBlock &Block : PerFile) {
-    std::vector<VarId> Map(Block.Vars.numVars());
-    for (VarId L = 0; L < Block.Vars.numVars(); ++L)
-      Map[L] = Sys.Vars.varFor(Block.Vars.repOf(L), Block.Vars.roleOf(L));
-    for (const solver::LinearConstraint &LC : Block.Constraints) {
-      solver::LinearConstraint &Copy = Sys.Constraints.emplace_back(LC);
-      for (solver::Term &T : Copy.Lhs)
-        T.Var = Map[T.Var];
-      for (solver::Term &T : Copy.Rhs)
-        T.Var = Map[T.Var];
-    }
+  // variables a serial run creates for sums that end up in no row). The
+  // replay is the only serial part; the flat blocks are then copied and
+  // renamed into the global store at prefix-sum offsets in parallel.
+  std::vector<std::vector<VarId>> Maps(FileVars.size());
+  for (size_t F = 0; F < FileVars.size(); ++F) {
+    const VarTable &Local = FileVars[F];
+    Maps[F].resize(Local.numVars());
+    for (VarId L = 0; L < Local.numVars(); ++L)
+      Maps[F][L] = Sys.Vars.varFor(Local.repOf(L), Local.roleOf(L));
   }
-  PerFile.clear();
+  Sys.Constraints.appendBlocks(FileRows, Maps, Pool);
 
   if (ShardSecondsOut)
     *ShardSecondsOut = std::move(ShardSeconds);

@@ -59,12 +59,13 @@ struct GenOptions {
 /// whose every option is blacklisted or infrequent are ignored (§4.3).
 ///
 /// When \p Pool is non-null the expensive stages fan out over it: the
-/// per-event backoff filtering (disjoint writes) and the per-file template
-/// extraction, which is sharded by file into private constraint buffers.
-/// Determinism is preserved by construction: variables are pre-created in
-/// event order before any extraction runs, and the per-file buffers are
-/// concatenated in file order, so the resulting system — ids, constraint
-/// order, coefficients — is identical to the serial one. \p
+/// per-event backoff filtering (disjoint writes), the per-file template
+/// extraction, which is sharded by file into private flat row blocks with
+/// file-local variable tables, and the copy of those blocks into the
+/// system. Determinism is preserved by construction: the local tables are
+/// replayed into the global one in file order, and the blocks land in
+/// file order at prefix-sum offsets, so the resulting system — ids,
+/// constraint order, coefficients — is identical to the serial one. \p
 /// ShardSecondsOut (may be null) receives per-worker extraction wall time.
 ///
 /// \p StopAt (may be null) is polled at every per-file shard boundary.

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
+#include <cstdint>
 #include <iterator>
 #include <unordered_map>
 
@@ -253,42 +254,43 @@ void seldon::constraints::appendShard(const ConstraintShard &Shard,
         Out.push_back(Id);
     return Out;
   };
-  // Mirrors FileExtractor::appendAvgTerms, with one crucial difference:
+  // Mirrors FileExtractor::avgTerms, with one crucial difference:
   // variables are interned straight into the global table. Events recur
   // across many constraints (a source anchor's option terms appear in
   // every pair it forms), so the term block for an (event, role) is built
-  // once and appended by copy afterwards — the build happens lazily at
-  // the block's first use, which is exactly where the uncached replay
-  // would have issued its first varFor calls, so variable interning order
-  // — and with it every id in the composed system — is unchanged.
-  std::vector<std::array<std::vector<solver::Term>, propgraph::NumRoles>>
-      TermCache(Shard.Events.size());
-  std::vector<std::array<bool, propgraph::NumRoles>> CacheReady(
-      Shard.Events.size(), {false, false, false});
-  auto TermsOf = [&](ShardEventId E,
-                     Role R) -> const std::vector<solver::Term> & {
-    size_t RI = static_cast<size_t>(R);
-    std::vector<solver::Term> &Block = TermCache[E][RI];
-    if (!CacheReady[E][RI]) {
-      const std::vector<RepId> &Options = Kept[E];
+  // once, into one flat cache, and copied from there afterwards — the
+  // build happens lazily at the block's first use, which is exactly where
+  // the uncached replay would have issued its first varFor calls, so
+  // variable interning order — and with it every id in the composed
+  // system — is unchanged.
+  constexpr uint32_t NotBuilt = UINT32_MAX;
+  std::vector<solver::Term> CacheTerms;
+  std::vector<std::array<uint32_t, propgraph::NumRoles>> CacheAt(
+      Shard.Events.size(), {NotBuilt, NotBuilt, NotBuilt});
+  auto TermsOf = [&](ShardEventId E, Role R) -> solver::TermRange {
+    const std::vector<RepId> &Options = Kept[E];
+    uint32_t &At = CacheAt[E][static_cast<size_t>(R)];
+    if (At == NotBuilt) {
+      At = static_cast<uint32_t>(CacheTerms.size());
       float Coef = 1.0f / static_cast<float>(Options.size());
-      Block.reserve(Options.size());
       for (RepId Rep : Options)
-        Block.push_back({Sys.Vars.varFor(Rep, R), Coef});
-      CacheReady[E][RI] = true;
+        CacheTerms.push_back({Sys.Vars.varFor(Rep, R), Coef});
     }
-    return Block;
+    const solver::Term *First = CacheTerms.data() + At;
+    return {First, First + Options.size()};
   };
-  auto AppendAvg = [&](std::vector<solver::Term> &Terms, ShardEventId E,
-                       Role R) {
-    const std::vector<solver::Term> &Block = TermsOf(E, R);
-    Terms.insert(Terms.end(), Block.begin(), Block.end());
+  solver::ConstraintRows &Rows = Sys.Constraints;
+  auto AppendAvg = [&](ShardEventId E, Role R) {
+    solver::TermRange Block = TermsOf(E, R);
+    Rows.addTerms(Block.begin(), Block.end());
   };
+  std::vector<solver::Term> Sum;
   auto SumTerms = [&](const std::vector<ShardEventId> &Ids, Role R) {
-    std::vector<solver::Term> Terms;
-    for (ShardEventId Id : Ids)
-      AppendAvg(Terms, Id, R);
-    return Terms;
+    Sum.clear();
+    for (ShardEventId Id : Ids) {
+      solver::TermRange Block = TermsOf(Id, R);
+      Sum.insert(Sum.end(), Block.begin(), Block.end());
+    }
   };
 
   for (const ShardFile &File : Shard.Files) {
@@ -303,31 +305,28 @@ void seldon::constraints::appendShard(const ConstraintShard &Shard,
       if (SinksAfter.empty() && SourcesBefore.empty())
         continue;
 
-      std::vector<solver::Term> SourceSum =
-          SumTerms(SourcesBefore, Role::Source);
+      SumTerms(SourcesBefore, Role::Source);
       size_t Pairs = 0;
       for (ShardEventId Snk : SinksAfter) {
         if (++Pairs > Opts.MaxPairsPerAnchor)
           break;
-        solver::LinearConstraint LC;
-        AppendAvg(LC.Lhs, Anchor.San, Role::Sanitizer);
-        AppendAvg(LC.Lhs, Snk, Role::Sink);
-        LC.Rhs = SourceSum;
-        LC.C = Opts.C;
-        Sys.Constraints.push_back(std::move(LC));
+        AppendAvg(Anchor.San, Role::Sanitizer);
+        AppendAvg(Snk, Role::Sink);
+        Rows.beginRhs();
+        Rows.addTerms(Sum.data(), Sum.data() + Sum.size());
+        Rows.endRow(Opts.C);
       }
 
-      std::vector<solver::Term> SinkSum = SumTerms(SinksAfter, Role::Sink);
+      SumTerms(SinksAfter, Role::Sink);
       Pairs = 0;
       for (ShardEventId Src : SourcesBefore) {
         if (++Pairs > Opts.MaxPairsPerAnchor)
           break;
-        solver::LinearConstraint LC;
-        AppendAvg(LC.Lhs, Src, Role::Source);
-        AppendAvg(LC.Lhs, Anchor.San, Role::Sanitizer);
-        LC.Rhs = SinkSum;
-        LC.C = Opts.C;
-        Sys.Constraints.push_back(std::move(LC));
+        AppendAvg(Src, Role::Source);
+        AppendAvg(Anchor.San, Role::Sanitizer);
+        Rows.beginRhs();
+        Rows.addTerms(Sum.data(), Sum.data() + Sum.size());
+        Rows.endRow(Opts.C);
       }
     }
 
@@ -342,14 +341,13 @@ void seldon::constraints::appendShard(const ConstraintShard &Shard,
           continue;
         if (++Pairs > Opts.MaxPairsPerAnchor)
           break;
-        solver::LinearConstraint LC;
-        AppendAvg(LC.Lhs, Anchor.Src, Role::Source);
-        AppendAvg(LC.Lhs, Pair.Snk, Role::Sink);
+        AppendAvg(Anchor.Src, Role::Source);
+        AppendAvg(Pair.Snk, Role::Sink);
+        Rows.beginRhs();
         for (ShardEventId Mid : Pair.Mids)
           if (Alive(Mid))
-            AppendAvg(LC.Rhs, Mid, Role::Sanitizer);
-        LC.C = Opts.C;
-        Sys.Constraints.push_back(std::move(LC));
+            AppendAvg(Mid, Role::Sanitizer);
+        Rows.endRow(Opts.C);
       }
     }
   }

@@ -10,15 +10,15 @@ using namespace seldon;
 using namespace seldon::constraints;
 
 solver::Objective ConstraintSystem::makeObjective(double Lambda) const {
-  solver::Objective Obj(Vars.numVars(), Constraints, Lambda);
+  solver::Objective Obj(Vars.numVars(), Constraints.toVector(), Lambda);
   for (const auto &[Var, Value] : Pinned)
     Obj.pin(Var, Value);
   return Obj;
 }
 
 solver::SimdObjective
-ConstraintSystem::makeSimdObjective(double Lambda) const {
-  solver::SimdObjective Obj(Vars.numVars(), Constraints, Lambda);
+ConstraintSystem::makeSimdObjective(double Lambda, ThreadPool *Pool) const {
+  solver::SimdObjective Obj(Vars.numVars(), Constraints, Lambda, Pool);
   for (const auto &[Var, Value] : Pinned)
     Obj.pin(Var, Value);
   return Obj;
@@ -28,31 +28,28 @@ RowIndex RowIndex::build(const ConstraintSystem &Sys) {
   assert(Sys.Constraints.size() < std::numeric_limits<uint32_t>::max() &&
          "row ids must fit in 32 bits");
   size_t NumVars = Sys.Vars.numVars();
-  for (const solver::LinearConstraint &C : Sys.Constraints) {
-    for (const solver::Term &T : C.Lhs)
-      NumVars = std::max<size_t>(NumVars, T.Var + size_t(1));
-    for (const solver::Term &T : C.Rhs)
-      NumVars = std::max<size_t>(NumVars, T.Var + size_t(1));
-  }
+  for (const solver::Term &T : Sys.Constraints.terms())
+    NumVars = std::max<size_t>(NumVars, T.Var + size_t(1));
 
   RowIndex Index;
   Index.NumRows = Sys.Constraints.size();
   Index.Offsets.assign(NumVars + 1, 0);
+  // A row's Lhs and Rhs terms are adjacent in the flat store, so each
+  // pass walks one term span per row.
+  const solver::Term *Terms = Sys.Constraints.terms().data();
+  const std::vector<uint32_t> &Begin = Sys.Constraints.rowBegin();
   // Counting pass: Last[V] is the last row counted for V, so a variable
   // mentioned several times in one row counts that row once.
   constexpr uint32_t None = std::numeric_limits<uint32_t>::max();
   std::vector<uint32_t> Last(NumVars, None);
-  auto Count = [&](const std::vector<solver::Term> &Terms, uint32_t Row) {
-    for (const solver::Term &T : Terms)
-      if (Last[T.Var] != Row) {
-        Last[T.Var] = Row;
-        ++Index.Offsets[T.Var + 1];
+  for (uint32_t Row = 0; Row < Index.NumRows; ++Row)
+    for (uint32_t K = Begin[Row]; K < Begin[Row + 1]; ++K) {
+      const uint32_t V = Terms[K].Var;
+      if (Last[V] != Row) {
+        Last[V] = Row;
+        ++Index.Offsets[V + 1];
       }
-  };
-  for (uint32_t Row = 0; Row < Index.NumRows; ++Row) {
-    Count(Sys.Constraints[Row].Lhs, Row);
-    Count(Sys.Constraints[Row].Rhs, Row);
-  }
+    }
   for (size_t V = 0; V < NumVars; ++V)
     Index.Offsets[V + 1] += Index.Offsets[V];
 
@@ -60,18 +57,14 @@ RowIndex RowIndex::build(const ConstraintSystem &Sys) {
   // already listed for V exactly when V's last filled entry is this row.
   Index.Rows.resize(Index.Offsets.back());
   std::vector<uint32_t> Fill(Index.Offsets.begin(), Index.Offsets.end() - 1);
-  auto Place = [&](const std::vector<solver::Term> &Terms, uint32_t Row) {
-    for (const solver::Term &T : Terms) {
-      uint32_t &At = Fill[T.Var];
-      if (At > Index.Offsets[T.Var] && Index.Rows[At - 1] == Row)
+  for (uint32_t Row = 0; Row < Index.NumRows; ++Row)
+    for (uint32_t K = Begin[Row]; K < Begin[Row + 1]; ++K) {
+      const uint32_t V = Terms[K].Var;
+      uint32_t &At = Fill[V];
+      if (At > Index.Offsets[V] && Index.Rows[At - 1] == Row)
         continue;
       Index.Rows[At++] = Row;
     }
-  };
-  for (uint32_t Row = 0; Row < Index.NumRows; ++Row) {
-    Place(Sys.Constraints[Row].Lhs, Row);
-    Place(Sys.Constraints[Row].Rhs, Row);
-  }
   return Index;
 }
 

@@ -17,6 +17,7 @@
 #define SELDON_CONSTRAINTS_CONSTRAINTSYSTEM_H
 
 #include "constraints/VarTable.h"
+#include "solver/ConstraintRows.h"
 #include "solver/Objective.h"
 #include "solver/SimdObjective.h"
 
@@ -26,6 +27,9 @@
 #include <vector>
 
 namespace seldon {
+
+class ThreadPool;
+
 namespace constraints {
 
 struct ConstraintSystem;
@@ -97,8 +101,8 @@ private:
 
 /// A generated constraint system ready for the solver.
 struct ConstraintSystem {
-  /// Soft constraints (Σ Lhs ≤ Σ Rhs + C form).
-  std::vector<solver::LinearConstraint> Constraints;
+  /// Soft constraints (Σ Lhs ≤ Σ Rhs + C form), stored flat.
+  solver::ConstraintRows Constraints;
   /// (rep, role) -> variable mapping.
   VarTable Vars;
   /// Seed pins: (variable, value in {0, 1}).
@@ -119,8 +123,10 @@ struct ConstraintSystem {
   solver::Objective makeObjective(double Lambda) const;
 
   /// Compiles the system into the blocked SIMD kernel every solve runs on
-  /// (same semantics as makeObjective; see solver/SimdObjective.h).
-  solver::SimdObjective makeSimdObjective(double Lambda) const;
+  /// (same semantics as makeObjective; see solver/SimdObjective.h). The
+  /// compile fans out over \p Pool when non-null, with the same result.
+  solver::SimdObjective makeSimdObjective(double Lambda,
+                                          ThreadPool *Pool = nullptr) const;
 
   /// The per-variable row index over Constraints, built on first use.
   /// Safe to call from concurrent readers.

@@ -11,7 +11,7 @@ using namespace seldon::propgraph;
 namespace {
 
 void renderTerms(const ConstraintSystem &Sys, const RepTable &Reps,
-                 const std::vector<solver::Term> &Terms, std::string &Out) {
+                 const solver::TermRange &Terms, std::string &Out) {
   if (Terms.empty()) {
     Out += "0";
     return;
@@ -29,7 +29,7 @@ void renderTerms(const ConstraintSystem &Sys, const RepTable &Reps,
   }
 }
 
-double evalSide(const std::vector<solver::Term> &Terms,
+double evalSide(const solver::TermRange &Terms,
                 const std::vector<double> &X) {
   double Sum = 0.0;
   for (const solver::Term &T : Terms)
@@ -37,7 +37,7 @@ double evalSide(const std::vector<solver::Term> &Terms,
   return Sum;
 }
 
-bool mentions(const std::vector<solver::Term> &Terms, VarId V) {
+bool mentions(const solver::TermRange &Terms, VarId V) {
   for (const solver::Term &T : Terms)
     if (T.Var == V)
       return true;
@@ -48,7 +48,7 @@ bool mentions(const std::vector<solver::Term> &Terms, VarId V) {
 
 void seldon::constraints::renderConstraint(const ConstraintSystem &Sys,
                                            const RepTable &Reps,
-                                           const solver::LinearConstraint &C,
+                                           const solver::ConstraintRef &C,
                                            std::string &Out) {
   renderTerms(Sys, Reps, C.Lhs, Out);
   Out += " <= ";
@@ -62,6 +62,8 @@ Explanation seldon::constraints::explainRep(const ConstraintSystem &Sys,
                                             const std::string &Rep, Role R,
                                             const std::vector<double> &X) {
   Explanation Out;
+  Out.Rep = Rep;
+  Out.Role = R;
   RepId Id;
   if (!Reps.lookup(Rep, Id))
     return Out;
@@ -79,7 +81,7 @@ Explanation seldon::constraints::explainRep(const ConstraintSystem &Sys,
   RowIndex::Slice Rows = Sys.rowIndex().rowsOf(V);
   Out.Constraints.reserve(Rows.size());
   for (uint32_t Row : Rows) {
-    const solver::LinearConstraint &C = Sys.Constraints[Row];
+    const solver::ConstraintRef C = Sys.Constraints[Row];
     bool Lhs = mentions(C.Lhs, V);
     ExplainedConstraint EC;
     renderConstraint(Sys, Reps, C, EC.Text);

@@ -30,10 +30,11 @@ namespace constraints {
 /// printf `%.3g`); C prints as printf `%.2f`.
 void renderConstraint(const ConstraintSystem &Sys,
                       const propgraph::RepTable &Reps,
-                      const solver::LinearConstraint &C, std::string &Out);
+                      const solver::ConstraintRef &C, std::string &Out);
 
 /// One constraint's appearance in an explanation.
 struct ExplainedConstraint {
+  /// Rendered `lhs <= rhs + C` text (renderConstraint).
   std::string Text;
   /// L - R - C under the solution (> 0 means still violated).
   double Residual = 0.0;
@@ -43,8 +44,15 @@ struct ExplainedConstraint {
   bool OnLhs = false;
 };
 
-/// Everything known about one (representation, role) variable.
+/// Everything known about one (representation, role) variable: the
+/// answer of the `seldond` query op and of `seldon explain` (rendered by
+/// service/QueryResult.h).
 struct Explanation {
+  std::string Rep;
+  propgraph::Role Role = propgraph::Role::Source;
+  /// False when the pair has no variable (blacklisted, below the
+  /// frequency cutoff, or never a candidate); the fields below are then
+  /// zero/empty.
   bool Found = false;
   double Score = 0.0;
   bool Pinned = false;

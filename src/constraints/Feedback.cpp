@@ -28,15 +28,16 @@ void appendEvidenceRow(ConstraintSystem &Sys, VarId V, double W,
   solver::Term T;
   T.Var = V;
   T.Coef = static_cast<float>(W);
-  solver::LinearConstraint Row;
+  solver::ConstraintRows &Rows = Sys.Constraints;
   if (Accepted) {
-    Row.Rhs.push_back(T);
-    Row.C = -static_cast<double>(T.Coef);
+    Rows.beginRhs();
+    Rows.addTerm(T);
+    Rows.endRow(-static_cast<double>(T.Coef));
   } else {
-    Row.Lhs.push_back(T);
-    Row.C = 0.0;
+    Rows.addTerm(T);
+    Rows.beginRhs();
+    Rows.endRow(0.0);
   }
-  Sys.Constraints.push_back(std::move(Row));
 }
 
 } // namespace

@@ -19,7 +19,6 @@
 #include "propgraph/RepTable.h"
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 namespace seldon {
@@ -31,7 +30,10 @@ using propgraph::Role;
 /// Dense optimizer variable id.
 using VarId = uint32_t;
 
-/// Lazily-created dense table of (representation, role) variables.
+/// Lazily-created dense table of (representation, role) variables: ids in
+/// creation order, found through an open-addressed index over them, so a
+/// table is two flat vectors (cheap to build per file, to copy with a
+/// system, and to free).
 class VarTable {
 public:
   /// The variable for (\p Rep, \p R), created on first use.
@@ -40,23 +42,29 @@ public:
   /// Looks up an existing variable; returns false when absent.
   bool lookup(RepId Rep, Role R, VarId &Out) const;
 
-  size_t numVars() const { return Infos.size(); }
+  size_t numVars() const { return Keys.size(); }
 
-  RepId repOf(VarId V) const { return Infos[V].Rep; }
-  Role roleOf(VarId V) const { return Infos[V].R; }
+  RepId repOf(VarId V) const { return static_cast<RepId>(Keys[V] >> 2); }
+  Role roleOf(VarId V) const { return static_cast<Role>(Keys[V] & 3); }
 
 private:
-  struct VarInfo {
-    RepId Rep;
-    Role R;
-  };
-
   static uint64_t keyOf(RepId Rep, Role R) {
     return (static_cast<uint64_t>(Rep) << 2) | static_cast<uint64_t>(R);
   }
 
-  std::unordered_map<uint64_t, VarId> Ids;
-  std::vector<VarInfo> Infos;
+  /// The first slot to probe for \p Key in a table of \p Mask + 1 slots.
+  static size_t slotOf(uint64_t Key, size_t Mask) {
+    return static_cast<size_t>((Key * 0x9E3779B97F4A7C15ull) >> 32) & Mask;
+  }
+
+  /// Doubles the index and re-inserts every variable.
+  void grow();
+
+  /// keyOf(rep, role) of each variable, indexed by id.
+  std::vector<uint64_t> Keys;
+  /// Open-addressed index: id + 1 per occupied slot, 0 when empty; a
+  /// power-of-two size at most half full.
+  std::vector<uint32_t> Slots;
 };
 
 } // namespace constraints

@@ -555,7 +555,8 @@ PipelineResult Session::solve() {
   // evaluators at every tier and Jobs setting (docs/architecture.md), so
   // the learned scores do not depend on the host's SIMD support.
   trace::Span CompileSpan(Reg, "compile");
-  solver::SimdObjective Obj = Result.System->makeSimdObjective(Opts.Lambda);
+  solver::SimdObjective Obj =
+      Result.System->makeSimdObjective(Opts.Lambda, P);
   Result.CompileSeconds = CompileSpan.finish();
   if (Reg.enabled())
     Reg.timer("solver.compile_seconds").record(Result.CompileSeconds);

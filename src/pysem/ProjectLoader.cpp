@@ -87,8 +87,11 @@ seldon::pysem::loadProjectFromDir(const std::string &RootDir,
         ErrorsOut->push_back("failed to read " + File.string());
       continue;
     }
-    std::string Relative = fs::relative(File, Root, Ec).generic_string();
-    if (Ec || Relative.empty())
+    // Lexical, not fs::relative: every File came from iterating Root, so
+    // it starts with Root's own spelling, and no stat call is needed. A
+    // symlinked file keeps the path of the link, not of its target.
+    std::string Relative = File.lexically_relative(Root).generic_string();
+    if (Relative.empty())
       Relative = File.filename().string();
     Proj.addModule(std::move(Relative), *Source);
     if (FileTimer) {

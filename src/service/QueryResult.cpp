@@ -2,7 +2,6 @@
 
 #include "service/QueryResult.h"
 
-#include "constraints/Explain.h"
 #include "support/StrUtil.h"
 
 using namespace seldon;
@@ -21,34 +20,12 @@ bool seldon::service::roleFromName(const std::string &Name,
   return true;
 }
 
-QueryResult
-seldon::service::queryRep(const constraints::ConstraintSystem &System,
-                          const propgraph::RepTable &Reps,
-                          const std::string &Rep, propgraph::Role Role,
-                          const std::vector<double> &X) {
-  QueryResult Q;
-  Q.Rep = Rep;
-  Q.Role = Role;
-  constraints::Explanation E =
-      constraints::explainRep(System, Reps, Rep, Role, X);
-  Q.Found = E.Found;
-  if (!E.Found)
-    return Q;
-  Q.Score = E.Score;
-  Q.Pinned = E.Pinned;
-  Q.PinnedValue = E.PinnedValue;
-  Q.Constraints.reserve(E.Constraints.size());
-  for (constraints::ExplainedConstraint &C : E.Constraints)
-    Q.Constraints.push_back({std::move(C.Text), C.Residual, C.OnLhs});
-  return Q;
-}
-
 void seldon::service::renderQueryJson(const QueryResult &Q,
                                       std::string &Out) {
   // One reserve for the whole answer: the texts dominate it, and each
   // constraint adds a fixed frame plus its residual.
   size_t Size = 128 + 2 * Q.Rep.size();
-  for (const QueryConstraint &C : Q.Constraints)
+  for (const constraints::ExplainedConstraint &C : Q.Constraints)
     Size += C.Text.size() + 64;
   Out.reserve(Out.size() + Size);
 
@@ -64,10 +41,10 @@ void seldon::service::renderQueryJson(const QueryResult &Q,
   appendFixed(Out, Q.PinnedValue, 6);
   Out += ",\"constraints\":[";
   for (size_t I = 0; I < Q.Constraints.size(); ++I) {
-    const QueryConstraint &C = Q.Constraints[I];
+    const constraints::ExplainedConstraint &C = Q.Constraints[I];
     if (I)
       Out += ',';
-    Out += C.Caps ? "{\"kind\":\"caps\",\"residual\":"
+    Out += C.OnLhs ? "{\"kind\":\"caps\",\"residual\":"
                   : "{\"kind\":\"demands\",\"residual\":";
     appendFixed(Out, C.Residual, 6);
     Out += ",\"text\":\"";
@@ -86,9 +63,9 @@ std::string seldon::service::renderQueryText(const QueryResult &Q) {
                 .c_str()
           : "",
       Q.Constraints.size());
-  for (const QueryConstraint &C : Q.Constraints)
+  for (const constraints::ExplainedConstraint &C : Q.Constraints)
     Out += formatString("  [%s, residual %+.3f] %s\n",
-                        C.Caps ? "caps it" : "demands it", C.Residual,
+                        C.OnLhs ? "caps it" : "demands it", C.Residual,
                         C.Text.c_str());
   return Out;
 }

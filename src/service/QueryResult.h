@@ -7,8 +7,8 @@
 ///
 /// \file
 /// The structured answer to the service's point query: "what role does
-/// representation R have, and which constraints support it?". One struct,
-/// two renderers — the JSON renderer is the `seldond` wire format *and*
+/// representation R have, and which constraints support it?". One struct
+/// (constraints::Explanation, as explainRep builds it), two renderers — the JSON renderer is the `seldond` wire format *and*
 /// the `seldon explain --json` output, and the text renderer is the
 /// human-readable `seldon explain` table. Because both the CLI and the
 /// daemon render the same struct through the same functions, a warm
@@ -20,7 +20,7 @@
 #ifndef SELDON_SERVICE_QUERYRESULT_H
 #define SELDON_SERVICE_QUERYRESULT_H
 
-#include "constraints/ConstraintSystem.h"
+#include "constraints/Explain.h"
 
 #include <string>
 #include <vector>
@@ -28,31 +28,9 @@
 namespace seldon {
 namespace service {
 
-/// One constraint supporting (or capping) a queried score.
-struct QueryConstraint {
-  /// Rendered `lhs <= rhs + C` text (constraints::renderConstraint).
-  std::string Text;
-  /// L - R - C under the solved assignment (> 0 means still violated).
-  double Residual = 0.0;
-  /// True when the queried variable sits on the left-hand side (the
-  /// constraint caps the score); false when it sits on the right (the
-  /// constraint demands it).
-  bool Caps = false;
-};
-
-/// Everything known about one (representation, role) score.
-struct QueryResult {
-  std::string Rep;
-  propgraph::Role Role = propgraph::Role::Source;
-  /// False when the pair has no variable (blacklisted, below the
-  /// frequency cutoff, or never a candidate); all other fields are then
-  /// zero/empty.
-  bool Found = false;
-  double Score = 0.0;
-  bool Pinned = false;
-  double PinnedValue = 0.0;
-  std::vector<QueryConstraint> Constraints;
-};
+/// Everything known about one (representation, role) score: the
+/// explanation itself, rendered by the functions below.
+using QueryResult = constraints::Explanation;
 
 /// Parses a wire/CLI role name ("source", "sanitizer", "sink") into
 /// \p Out. Returns false for anything else.
@@ -61,10 +39,14 @@ bool roleFromName(const std::string &Name, propgraph::Role &Out);
 /// Answers the point query against a solved system: looks up
 /// (\p Rep, \p Role), renders every constraint mentioning its variable,
 /// and computes residuals under \p X (the solved assignment, indexed by
-/// the system's variable ids).
-QueryResult queryRep(const constraints::ConstraintSystem &System,
-                     const propgraph::RepTable &Reps, const std::string &Rep,
-                     propgraph::Role Role, const std::vector<double> &X);
+/// the system's variable ids). The service's name for
+/// constraints::explainRep.
+inline QueryResult queryRep(const constraints::ConstraintSystem &System,
+                            const propgraph::RepTable &Reps,
+                            const std::string &Rep, propgraph::Role Role,
+                            const std::vector<double> &X) {
+  return constraints::explainRep(System, Reps, Rep, Role, X);
+}
 
 /// The machine-readable rendering (single line, no trailing newline),
 /// appended to \p Out:

@@ -6,9 +6,9 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdlib>
+#include <cstdint>
 #include <cstring>
-#include <limits>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -21,14 +21,14 @@ namespace {
 /// One term of a canonical row: (variable, merged coefficient).
 using CanonicalTerm = std::pair<uint32_t, double>;
 
-/// Canonicalizes one constraint into \p Terms (cleared first, capacity
-/// reused across rows): folds Rhs into Lhs with negated coefficients,
-/// sorts by variable id, merges duplicates by summing their coefficients
-/// in double (float + float is exact in double), and drops terms whose
-/// merged coefficient cancelled to exactly zero. A -0.0 coefficient is
-/// dropped as zero too, so the bytes of the surviving coefficients are a
-/// faithful image of their values.
-void canonicalize(const LinearConstraint &LC,
+/// Canonicalizes one row into \p Terms (cleared first, capacity reused
+/// across rows): folds Rhs into Lhs with negated coefficients, sorts by
+/// variable id, merges duplicates by summing their coefficients in double
+/// (float + float is exact in double), and drops terms whose merged
+/// coefficient cancelled to exactly zero. A -0.0 coefficient is dropped
+/// as zero too, so the bytes of the surviving coefficients are a faithful
+/// image of their values.
+void canonicalize(const ConstraintRef &LC,
                   std::vector<CanonicalTerm> &Terms) {
   Terms.clear();
   for (const Term &T : LC.Lhs)
@@ -76,120 +76,182 @@ uint64_t hashRow(double C, const std::vector<CanonicalTerm> &Terms) {
   return H;
 }
 
-/// RowBegin/VarIdx are uint32_t; a corpus past ~4.29B rows or non-zeros
-/// would silently wrap the offsets and corrupt every row after the
-/// overflow point. Compilation checks against this limit and fails with a
-/// descriptive error instead. SELDON_TEST_CSR_LIMIT lowers the limit so
-/// the guard can be unit-tested without allocating four billion entries.
-uint64_t csrIndexLimit() {
-  if (const char *Env = std::getenv("SELDON_TEST_CSR_LIMIT")) {
-    char *End = nullptr;
-    unsigned long long V = std::strtoull(Env, &End, 10);
-    if (End != Env && *End == '\0' && V > 0)
-      return V;
-  }
-  return std::numeric_limits<uint32_t>::max();
-}
-
 } // namespace
 
 CompiledObjective::CompiledObjective(
     size_t NumVars, const std::vector<LinearConstraint> &Constraints,
     double Lambda)
+    : CompiledObjective(NumVars, ConstraintRows(Constraints), Lambda,
+                        nullptr) {}
+
+CompiledObjective::CompiledObjective(size_t NumVars,
+                                     const ConstraintRows &Rows,
+                                     double Lambda, ThreadPool *Pool)
     : NumVars(NumVars), Lambda(Lambda), Pinned(NumVars, 0),
       PinnedValues(NumVars, 0.0) {
-  Stats.RowsBefore = Constraints.size();
-  for (const LinearConstraint &LC : Constraints)
-    Stats.TermsBefore += LC.Lhs.size() + LC.Rhs.size();
-  // Upper bounds (no coalescing, no merged terms): the arrays never
-  // reallocate, and capacity past what is written is never touched.
-  RowBegin.reserve(Constraints.size() + 1);
-  C.reserve(Constraints.size());
-  Weight.reserve(Constraints.size());
-  VarIdx.reserve(Stats.TermsBefore);
-  Coef.reserve(Stats.TermsBefore);
+  const size_t NumSource = Rows.size();
+  Stats.RowsBefore = NumSource;
+  Stats.TermsBefore = Rows.numTerms();
+  const std::vector<uint32_t> &SourceBegin = Rows.rowBegin();
+  const std::vector<double> &SourceC = Rows.constants();
 
-  // Coalesce canonically-identical constraints, keeping survivors in
-  // first-occurrence order so the row layout is deterministic and mirrors
-  // the legacy constraint order. The index is an open-addressed table
-  // with at least twice as many slots as there are constraints (load
-  // factor <= 1/2); a slot holds the row's hash tag in its high half and
-  // row id + 1 in its low half (0 = empty), and a tag match is confirmed
-  // against the row already emitted into the CSR arrays.
-  size_t Slots = 16;
-  while (Slots < 2 * Constraints.size())
-    Slots *= 2;
-  std::vector<uint64_t> Table(Slots, 0);
-  const uint64_t SlotMask = Slots - 1;
-  std::vector<CanonicalTerm> Terms;
-  // Exact duplicate test against emitted row \p Row. Bytewise, like the
-  // byte-image key it replaces: coefficients and constants compare by
-  // their bits, never by floating-point ==.
-  auto RowEquals = [&](uint32_t Row, double RowC) {
-    const uint32_t Begin = RowBegin[Row], End = RowBegin[Row + 1];
-    if (End - Begin != Terms.size() || bitsOf(C[Row]) != bitsOf(RowC))
-      return false;
-    for (size_t I = 0; I < Terms.size(); ++I)
-      if (VarIdx[Begin + I] != Terms[I].first ||
-          bitsOf(Coef[Begin + I]) != bitsOf(Terms[I].second))
-        return false;
-    return true;
-  };
-  RowBegin.push_back(0);
-  const uint64_t IndexLimit = csrIndexLimit();
-  // Each constraint's terms live in their own heap blocks; fetching a few
-  // constraints ahead hides most of that pointer-chasing latency.
-  constexpr size_t PrefetchAhead = 8;
-  for (size_t Index = 0; Index < Constraints.size(); ++Index) {
-    if (Index + PrefetchAhead < Constraints.size()) {
-      const LinearConstraint &Ahead = Constraints[Index + PrefetchAhead];
-      __builtin_prefetch(Ahead.Lhs.data());
-      __builtin_prefetch(Ahead.Rhs.data());
-    }
-    const LinearConstraint &LC = Constraints[Index];
-    canonicalize(LC, Terms);
-#ifndef NDEBUG
-    for (const auto &[Var, CoefV] : Terms) {
-      (void)CoefV;
-      assert(Var < NumVars && "constraint references unknown variable");
-    }
-#endif
-    const uint64_t Hash = hashRow(LC.C, Terms);
-    const uint64_t Tag = Hash & 0xFFFFFFFF00000000ull;
-    uint64_t Slot = Hash & SlotMask;
-    bool Duplicate = false;
-    for (; Table[Slot] != 0; Slot = (Slot + 1) & SlotMask) {
-      if ((Table[Slot] & 0xFFFFFFFF00000000ull) != Tag)
-        continue;
-      uint32_t Row = static_cast<uint32_t>(Table[Slot]) - 1;
-      if (RowEquals(Row, LC.C)) {
-        Weight[Row] += 1.0;
-        Duplicate = true;
-        break;
+  // Pass 1, parallel: each row's canonical image, stored at the row's own
+  // source term offset (canonicalization never adds terms), and its hash.
+  // Rows are independent, so the chunking only spreads the work; chunks
+  // are a fixed size, not a function of the thread count.
+  // Scratch arrays are left uninitialized: every entry read is written
+  // first, and the first touch of their pages happens in the parallel
+  // pass instead of a serial zero fill.
+  auto CanonVar = std::make_unique_for_overwrite<uint32_t[]>(Stats.TermsBefore);
+  auto CanonCoef = std::make_unique_for_overwrite<double[]>(Stats.TermsBefore);
+  auto CanonLen = std::make_unique_for_overwrite<uint32_t[]>(NumSource);
+  auto Hash = std::make_unique_for_overwrite<uint64_t[]>(NumSource);
+  constexpr size_t ChunkRows = 4096;
+  auto CanonicalizeChunk = [&](size_t Chunk, unsigned) {
+    std::vector<CanonicalTerm> Terms;
+    const size_t End = std::min(NumSource, (Chunk + 1) * ChunkRows);
+    for (size_t R = Chunk * ChunkRows; R < End; ++R) {
+      const ConstraintRef Row = Rows[R];
+      canonicalize(Row, Terms);
+      const uint32_t At = SourceBegin[R];
+      for (size_t I = 0; I < Terms.size(); ++I) {
+        assert(Terms[I].first < NumVars &&
+               "constraint references unknown variable");
+        CanonVar[At + I] = Terms[I].first;
+        CanonCoef[At + I] = Terms[I].second;
       }
+      CanonLen[R] = static_cast<uint32_t>(Terms.size());
+      Hash[R] = hashRow(Row.C, Terms);
     }
-    if (Duplicate)
+  };
+  const size_t NumChunks = (NumSource + ChunkRows - 1) / ChunkRows;
+  if (Pool)
+    Pool->parallelFor(NumChunks, CanonicalizeChunk);
+  else
+    for (size_t Chunk = 0; Chunk < NumChunks; ++Chunk)
+      CanonicalizeChunk(Chunk, 0);
+
+  // Exact duplicate test. Bytewise, like the byte-image key it replaces:
+  // coefficients and constants compare by their bits, never by
+  // floating-point ==.
+  auto SameRow = [&](size_t A, size_t B) {
+    const uint32_t Len = CanonLen[A];
+    if (CanonLen[B] != Len || bitsOf(SourceC[A]) != bitsOf(SourceC[B]))
+      return false;
+    if (Len == 0)
+      return true;
+    const uint32_t AtA = SourceBegin[A], AtB = SourceBegin[B];
+    return std::memcmp(CanonVar.get() + AtA, CanonVar.get() + AtB,
+                       Len * sizeof(uint32_t)) == 0 &&
+           std::memcmp(CanonCoef.get() + AtA, CanonCoef.get() + AtB,
+                       Len * sizeof(double)) == 0;
+  };
+
+  // Pass 2, parallel: find each row's first occurrence. Equal rows hash
+  // equal, so splitting the rows by the top bits of their hash into a
+  // fixed number of partitions puts every class of duplicates in one
+  // partition. Each partition walks its own rows in row order through an
+  // open-addressed table at most half full, whose slots hold a row's hash
+  // tag in the high half and its row id + 1 in the low half (0 = empty);
+  // a tag match is confirmed with SameRow. The first row of each class
+  // is therefore the same one a single serial walk would find, whatever
+  // the thread count. A partition's table is a sixteenth of the one a
+  // single walk would need, small enough to stay in cache.
+  assert(NumSource < UINT32_MAX && "row ids must fit in 32 bits");
+  constexpr size_t NumParts = 16;
+  auto FirstOf = std::make_unique_for_overwrite<uint32_t[]>(NumSource);
+  auto FindFirsts = [&](size_t Part, unsigned) {
+    std::vector<uint32_t> Mine;
+    for (size_t R = 0; R < NumSource; ++R)
+      if ((Hash[R] >> 60) == Part)
+        Mine.push_back(static_cast<uint32_t>(R));
+    size_t Slots = 16;
+    while (Slots < 2 * Mine.size())
+      Slots *= 2;
+    std::vector<uint64_t> Table(Slots, 0);
+    const uint64_t SlotMask = Slots - 1;
+    for (uint32_t R : Mine) {
+      const uint64_t Tag = Hash[R] & 0xFFFFFFFF00000000ull;
+      uint64_t Slot = Hash[R] & SlotMask;
+      FirstOf[R] = R;
+      for (; Table[Slot] != 0; Slot = (Slot + 1) & SlotMask) {
+        if ((Table[Slot] & 0xFFFFFFFF00000000ull) != Tag)
+          continue;
+        const uint32_t Row = static_cast<uint32_t>(Table[Slot]) - 1;
+        if (SameRow(Row, R)) {
+          FirstOf[R] = Row;
+          break;
+        }
+      }
+      if (FirstOf[R] == R)
+        Table[Slot] = Tag | (static_cast<uint64_t>(R) + 1);
+    }
+  };
+  if (Pool)
+    Pool->parallelFor(NumParts, FindFirsts);
+  else
+    for (size_t Part = 0; Part < NumParts; ++Part)
+      FindFirsts(Part, 0);
+
+  // Then, serially in row order: each first occurrence becomes the next
+  // compiled row, so survivors keep first-occurrence order, and every
+  // later occurrence adds one to its compiled row's multiplicity.
+  // Source[K] is the first occurrence of compiled row K.
+  const uint64_t IndexLimit = indexLimit();
+  auto Compiled = std::make_unique_for_overwrite<uint32_t[]>(NumSource);
+  std::vector<uint32_t> Source;
+  size_t NonZeros = 0;
+  for (size_t R = 0; R < NumSource; ++R) {
+    if (FirstOf[R] != R) {
+      Weight[Compiled[FirstOf[R]]] += 1.0;
       continue;
-    if (static_cast<uint64_t>(C.size()) >= IndexLimit ||
-        static_cast<uint64_t>(VarIdx.size()) + Terms.size() > IndexLimit)
+    }
+    if (static_cast<uint64_t>(Source.size()) >= IndexLimit ||
+        static_cast<uint64_t>(NonZeros) + CanonLen[R] > IndexLimit)
       throw std::runtime_error(
           "constraint system overflows the 32-bit CSR layout: " +
-          std::to_string(C.size() + 1) + " coalesced rows / " +
-          std::to_string(VarIdx.size() + Terms.size()) +
+          std::to_string(Source.size() + 1) + " coalesced rows / " +
+          std::to_string(NonZeros + CanonLen[R]) +
           " non-zeros exceed the index limit of " +
           std::to_string(IndexLimit) +
           "; split the corpus into smaller solves");
-    Table[Slot] = Tag | (static_cast<uint64_t>(C.size()) + 1);
-    for (const auto &[Var, CoefV] : Terms) {
-      VarIdx.push_back(Var);
-      Coef.push_back(CoefV);
-    }
-    RowBegin.push_back(static_cast<uint32_t>(VarIdx.size()));
+    Compiled[R] = static_cast<uint32_t>(Source.size());
+    Source.push_back(static_cast<uint32_t>(R));
     Weight.push_back(1.0);
-    C.push_back(LC.C);
+    NonZeros += CanonLen[R];
   }
-  Stats.RowsAfter = C.size();
-  Stats.NonZeros = VarIdx.size();
+
+  // Pass 3: the CSR offsets (serial prefix sum), then the survivors'
+  // canonical images copied into place in parallel, again over fixed
+  // chunks.
+  const size_t NumRows = Source.size();
+  RowBegin.resize(NumRows + 1);
+  RowBegin[0] = 0;
+  C.resize(NumRows);
+  for (size_t K = 0; K < NumRows; ++K) {
+    RowBegin[K + 1] = RowBegin[K] + CanonLen[Source[K]];
+    C[K] = SourceC[Source[K]];
+  }
+  VarIdx.resize(NonZeros);
+  Coef.resize(NonZeros);
+  auto EmitChunk = [&](size_t Chunk, unsigned) {
+    const size_t End = std::min(NumRows, (Chunk + 1) * ChunkRows);
+    for (size_t K = Chunk * ChunkRows; K < End; ++K) {
+      const uint32_t From = SourceBegin[Source[K]];
+      const uint32_t Len = RowBegin[K + 1] - RowBegin[K];
+      std::copy_n(CanonVar.get() + From, Len, VarIdx.data() + RowBegin[K]);
+      std::copy_n(CanonCoef.get() + From, Len, Coef.data() + RowBegin[K]);
+    }
+  };
+  const size_t NumEmitChunks = (NumRows + ChunkRows - 1) / ChunkRows;
+  if (Pool)
+    Pool->parallelFor(NumEmitChunks, EmitChunk);
+  else
+    for (size_t Chunk = 0; Chunk < NumEmitChunks; ++Chunk)
+      EmitChunk(Chunk, 0);
+
+  Stats.RowsAfter = NumRows;
+  Stats.NonZeros = NonZeros;
   for (double W : Weight)
     Stats.MaxMultiplicity =
         std::max(Stats.MaxMultiplicity, static_cast<size_t>(W));
@@ -197,7 +259,7 @@ CompiledObjective::CompiledObjective(
   // Fixed shard structure: a function of the row count only, so every
   // Jobs setting performs the same floating-point reductions. Same
   // partitioning rule as the legacy Objective.
-  size_t N = C.size();
+  size_t N = NumRows;
   size_t Size = std::max(MinShardSize, (N + MaxShards - 1) / MaxShards);
   for (size_t Begin = 0; Begin < N; Begin += Size)
     Shards.push_back({Begin, std::min(N, Begin + Size)});

@@ -6,9 +6,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The constraint compilation pass: lowers the `LinearConstraint` list of a
-/// generated system into an immutable, flat, duplicate-coalesced form with
-/// a fused single-pass value+gradient kernel.
+/// The constraint compilation pass: lowers the flat row store of a
+/// generated system (solver/ConstraintRows.h) into an immutable, flat,
+/// duplicate-coalesced form with a fused single-pass value+gradient
+/// kernel.
 ///
 /// Compilation performs three lowerings:
 ///
@@ -25,6 +26,11 @@
 ///     one row with an integer multiplicity. This is exact: K identical
 ///     hinges sum to K · max(0, V). Duplicates are found through an
 ///     open-addressed hash table of row ids, with no per-row allocation.
+///     Canonicalization and hashing run over fixed row chunks on the
+///     thread pool, and so does the search for each row's first
+///     occurrence, over fixed hash partitions; compiled row ids are then
+///     assigned by one serial walk in row order, so the result does not
+///     depend on the thread count.
 ///
 ///  3. **CSR layout.** Survivors are stored in flat RowBegin / VarIdx /
 ///     Coef / Weight / C arrays — no per-constraint heap vectors, one
@@ -46,6 +52,7 @@
 #ifndef SELDON_SOLVER_COMPILEDOBJECTIVE_H
 #define SELDON_SOLVER_COMPILEDOBJECTIVE_H
 
+#include "solver/ConstraintRows.h"
 #include "solver/Objective.h"
 
 #include <cstdint>
@@ -86,7 +93,13 @@ struct CompileStats {
 /// arbitrary points.
 class CompiledObjective {
 public:
-  /// Compiles \p Constraints (not retained) into CSR form.
+  /// Compiles \p Rows (not retained) into CSR form, on \p Pool when
+  /// non-null. The arrays are the same for every thread count.
+  CompiledObjective(size_t NumVars, const ConstraintRows &Rows,
+                    double Lambda, ThreadPool *Pool);
+
+  /// Flattens \p Constraints and compiles them like the constructor
+  /// above (the tests' and the legacy oracle's input).
   CompiledObjective(size_t NumVars,
                     const std::vector<LinearConstraint> &Constraints,
                     double Lambda);

@@ -196,7 +196,11 @@ bool SimdObjective::avx512Supported() {
 SimdObjective::SimdObjective(size_t NumVars,
                              const std::vector<LinearConstraint> &Constraints,
                              double Lambda)
-    : Inner(NumVars, Constraints, Lambda),
+    : SimdObjective(NumVars, ConstraintRows(Constraints), Lambda, nullptr) {}
+
+SimdObjective::SimdObjective(size_t NumVars, const ConstraintRows &Rows,
+                             double Lambda, ThreadPool *Pool)
+    : Inner(NumVars, Rows, Lambda, Pool),
       Tier(!simdSupported()    ? SimdTier::Scalar
            : avx512Supported() ? SimdTier::Avx512
                                : SimdTier::Avx2) {

@@ -82,6 +82,11 @@ const char *simdTierName(SimdTier Tier);
 /// bit-identical to it on every input.
 class SimdObjective {
 public:
+  /// Compiles \p Rows (on \p Pool when non-null; see
+  /// CompiledObjective) and builds the blocked layout.
+  SimdObjective(size_t NumVars, const ConstraintRows &Rows, double Lambda,
+                ThreadPool *Pool);
+
   SimdObjective(size_t NumVars,
                 const std::vector<LinearConstraint> &Constraints,
                 double Lambda);

@@ -166,12 +166,14 @@ TEST(CompileTest, RejectsSystemsOverflowingThe32BitCsrLayout) {
   }
 
   // Rows past the limit trip the guard even when non-zeros stay under it.
+  // The rows hold no terms: the source store's term offsets are 32-bit
+  // too and obey the same limit, so only term-free rows can outnumber it
+  // there and still reach the coalescing check.
   setenv("SELDON_TEST_CSR_LIMIT", "3", 1);
   std::vector<LinearConstraint> ManyRows;
   for (int I = 0; I < 4; ++I) {
     LinearConstraint LC;
-    LC.Lhs = {{static_cast<uint32_t>(I), 1.0f}};
-    LC.C = 0.25;
+    LC.C = 0.25 * I;
     ManyRows.push_back(LC);
   }
   EXPECT_THROW(CompiledObjective(4, ManyRows, 0.1), std::runtime_error);
@@ -179,6 +181,12 @@ TEST(CompileTest, RejectsSystemsOverflowingThe32BitCsrLayout) {
   // Duplicates coalesce before the check: many copies of few rows pass.
   std::vector<LinearConstraint> Duplicates(100, ManyRows[0]);
   EXPECT_NO_THROW(CompiledObjective(4, Duplicates, 0.1));
+
+  // Source terms past the limit trip the flat store's own guard.
+  std::vector<LinearConstraint> ManyTerms(4);
+  for (int I = 0; I < 4; ++I)
+    ManyTerms[I].Lhs = {{static_cast<uint32_t>(I), 1.0f}};
+  EXPECT_THROW(CompiledObjective(4, ManyTerms, 0.1), std::runtime_error);
   unsetenv("SELDON_TEST_CSR_LIMIT");
 
   // Back at the real limit, ordinary systems compile.

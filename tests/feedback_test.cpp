@@ -71,14 +71,14 @@ TEST(FeedbackTest, DirectRowShapes) {
   ASSERT_EQ(T.Sys.Constraints.size(), Before + 2);
 
   // entries() order is (rep, role): alpha/source first, beta/sink second.
-  const solver::LinearConstraint &Accept = T.Sys.Constraints[Before];
+  const solver::ConstraintRef Accept = T.Sys.Constraints[Before];
   EXPECT_TRUE(Accept.Lhs.empty());
   ASSERT_EQ(Accept.Rhs.size(), 1u);
   EXPECT_EQ(Accept.Rhs[0].Var, T.VarASource);
   EXPECT_FLOAT_EQ(Accept.Rhs[0].Coef, 2.0f);
   EXPECT_DOUBLE_EQ(Accept.C, -2.0); // Hinge w*(1-x): zero at x = 1.
 
-  const solver::LinearConstraint &Reject = T.Sys.Constraints[Before + 1];
+  const solver::ConstraintRef Reject = T.Sys.Constraints[Before + 1];
   ASSERT_EQ(Reject.Lhs.size(), 1u);
   EXPECT_TRUE(Reject.Rhs.empty());
   EXPECT_EQ(Reject.Lhs[0].Var, T.VarBSink);
@@ -103,7 +103,7 @@ TEST(FeedbackTest, PropagatesOnlyAcrossSharedBackoffSets) {
   EXPECT_EQ(Stats.EvidenceRows, 1u);
   EXPECT_EQ(Stats.PropagatedRows, 1u);
   ASSERT_EQ(T.Sys.Constraints.size(), Before + 2);
-  const solver::LinearConstraint &Prop = T.Sys.Constraints[Before + 1];
+  const solver::ConstraintRef Prop = T.Sys.Constraints[Before + 1];
   ASSERT_EQ(Prop.Rhs.size(), 1u);
   EXPECT_EQ(Prop.Rhs[0].Var, T.VarBSource);
   EXPECT_FLOAT_EQ(Prop.Rhs[0].Coef, 0.5f);

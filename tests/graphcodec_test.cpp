@@ -51,8 +51,8 @@ void expectSystemsIdentical(const constraints::ConstraintSystem &A,
   EXPECT_EQ(A.Pinned.size(), B.Pinned.size());
   ASSERT_EQ(A.Constraints.size(), B.Constraints.size());
   for (size_t I = 0; I < A.Constraints.size(); ++I) {
-    const solver::LinearConstraint &CA = A.Constraints[I];
-    const solver::LinearConstraint &CB = B.Constraints[I];
+    const solver::ConstraintRef CA = A.Constraints[I];
+    const solver::ConstraintRef CB = B.Constraints[I];
     EXPECT_EQ(CA.C, CB.C);
     ASSERT_EQ(CA.Lhs.size(), CB.Lhs.size());
     for (size_t T = 0; T < CA.Lhs.size(); ++T) {

@@ -63,8 +63,8 @@ TEST(PipelineParallelTest, FourJobsBitIdenticalToSerial) {
   ASSERT_EQ(Serial.System->Constraints.size(),
             Parallel.System->Constraints.size());
   for (size_t I = 0; I < Serial.System->Constraints.size(); ++I) {
-    const solver::LinearConstraint &A = Serial.System->Constraints[I];
-    const solver::LinearConstraint &B = Parallel.System->Constraints[I];
+    const solver::ConstraintRef A = Serial.System->Constraints[I];
+    const solver::ConstraintRef B = Parallel.System->Constraints[I];
     ASSERT_EQ(A.Lhs.size(), B.Lhs.size()) << "constraint " << I;
     ASSERT_EQ(A.Rhs.size(), B.Rhs.size()) << "constraint " << I;
     for (size_t T = 0; T < A.Lhs.size(); ++T) {

@@ -123,6 +123,30 @@ TEST(ProjectLoaderTest, ParseErrorsSurfaceOnModules) {
   EXPECT_GT(Proj->numErrors(), 0u);
 }
 
+TEST(ProjectLoaderTest, SymlinkedFileKeepsTheLinksPath) {
+  // Module paths are computed lexically from the walked path: a symlinked
+  // .py file is loaded under the link's own path, not its target's, so it
+  // never collides with the target's module.
+  TempTree Tree;
+  Tree.write("real/target.py", "x = 1\n");
+  fs::path Link = fs::path(Tree.path()) / "link.py";
+  fs::create_symlink(fs::path("real") / "target.py", Link);
+  auto Proj = loadProjectFromDir(Tree.path());
+  ASSERT_TRUE(Proj.has_value());
+  ASSERT_EQ(Proj->modules().size(), 2u);
+  EXPECT_EQ(Proj->modules()[0].Path, "link.py");
+  EXPECT_EQ(Proj->modules()[0].ModuleName, "link");
+  EXPECT_EQ(Proj->modules()[1].Path, "real/target.py");
+  EXPECT_EQ(Proj->modules()[1].ModuleName, "real.target");
+
+  // A root spelled with a trailing slash gives the same paths.
+  auto Slashed = loadProjectFromDir(Tree.path() + "/");
+  ASSERT_TRUE(Slashed.has_value());
+  ASSERT_EQ(Slashed->modules().size(), 2u);
+  EXPECT_EQ(Slashed->modules()[0].Path, "link.py");
+  EXPECT_EQ(Slashed->modules()[1].Path, "real/target.py");
+}
+
 TEST(ReadFileTest, ReadsAndFails) {
   TempTree Tree;
   Tree.write("data.txt", "hello\nworld\n");

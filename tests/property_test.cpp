@@ -68,7 +68,7 @@ TEST_P(CorpusSweepTest, EndToEndInvariants) {
   Reps.countOccurrences(Global);
   constraints::ConstraintSystem Sys =
       constraints::generateConstraints(Global, Reps, Data.Seed);
-  for (const solver::LinearConstraint &C : Sys.Constraints) {
+  for (const solver::ConstraintRef C : Sys.Constraints) {
     EXPECT_FALSE(C.Lhs.empty());
     EXPECT_DOUBLE_EQ(C.C, 0.75);
     for (const solver::Term &T : C.Lhs) {

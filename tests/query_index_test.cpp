@@ -34,14 +34,14 @@ using constraints::VarId;
 
 namespace {
 
-bool mentions(const std::vector<solver::Term> &Terms, VarId V) {
+bool mentions(const solver::TermRange &Terms, VarId V) {
   for (const solver::Term &T : Terms)
     if (T.Var == V)
       return true;
   return false;
 }
 
-double evalSide(const std::vector<solver::Term> &Terms,
+double evalSide(const solver::TermRange &Terms,
                 const std::vector<double> &X) {
   double Sum = 0.0;
   for (const solver::Term &T : Terms)
@@ -61,7 +61,7 @@ Explanation explainByScan(const ConstraintSystem &Sys,
       Out.Pinned = true;
       Out.PinnedValue = Value;
     }
-  for (const solver::LinearConstraint &C : Sys.Constraints) {
+  for (const solver::ConstraintRef C : Sys.Constraints) {
     bool Lhs = mentions(C.Lhs, V);
     bool Rhs = mentions(C.Rhs, V);
     if (!Lhs && !Rhs)
@@ -156,7 +156,7 @@ TEST_P(QueryIndexTest, EveryVariableMatchesTheFullScan) {
   const constraints::RowIndex &Index = Sys.rowIndex();
   EXPECT_EQ(Index.NumRows, Sys.Constraints.size());
   size_t Distinct = 0;
-  for (const solver::LinearConstraint &C : Sys.Constraints) {
+  for (const solver::ConstraintRef C : Sys.Constraints) {
     std::vector<VarId> Vars;
     for (const solver::Term &T : C.Lhs)
       Vars.push_back(T.Var);

@@ -86,8 +86,8 @@ TEST_P(ShardPipelineTest, ComposedSystemIsByteIdenticalToDirect) {
   ASSERT_EQ(Warm.System->Constraints.size(),
             Direct.System->Constraints.size());
   for (size_t I = 0; I < Direct.System->Constraints.size(); ++I) {
-    const solver::LinearConstraint &A = Direct.System->Constraints[I];
-    const solver::LinearConstraint &B = Warm.System->Constraints[I];
+    const solver::ConstraintRef A = Direct.System->Constraints[I];
+    const solver::ConstraintRef B = Warm.System->Constraints[I];
     ASSERT_EQ(A.Lhs.size(), B.Lhs.size()) << "constraint " << I;
     ASSERT_EQ(A.Rhs.size(), B.Rhs.size()) << "constraint " << I;
     for (size_t T = 0; T < A.Lhs.size(); ++T) {
