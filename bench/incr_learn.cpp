@@ -152,7 +152,7 @@ int main() {
   double Speedup =
       Incr.TotalSeconds > 0.0 ? Cold.TotalSeconds / Incr.TotalSeconds : 0.0;
 
-  TablePrinter Table({"Run", "Parse (s)", "Gen (s)", "Solve (s)",
+  TablePrinter Table({"Run", "Build (s)", "Gen (s)", "Solve (s)",
                       "Total (s)", "Iters", "Shards hit/rebuilt"});
   auto Row = [&](const char *Name, const TimedRun &Run, bool Shards) {
     Table.addRow(

@@ -7,8 +7,8 @@
 ///
 /// \file
 /// A compact, versioned, checksummed binary serialization of per-project
-/// constraint shards (ConstraintShard.h) — the persistence format behind
-/// cache::ShardCache, in the GraphCodec style.
+/// constraint shards (ConstraintShard.h) — the persistence format of the
+/// shard cache's cache::BlobStore entries, in the GraphCodec style.
 ///
 /// Layout (all integers varint-encoded unless noted):
 ///

@@ -2,7 +2,10 @@
 
 #include "infer/Pipeline.h"
 
+#include "cache/ProjectKeys.h"
 #include "constraints/ConstraintShard.h"
+#include "constraints/ShardCodec.h"
+#include "propgraph/GraphCodec.h"
 #include "support/FaultInjection.h"
 #include "support/Metrics.h"
 #include "support/ThreadPool.h"
@@ -76,13 +79,13 @@ Session &Session::addProjects(const std::vector<pysem::Project> &Corpus) {
 
 Session &Session::enableCache(const std::string &Dir) {
   assert(!GraphReady && "enableCache must precede buildGraph");
-  Cache = std::make_unique<cache::GraphCache>(Dir);
+  Cache = std::make_unique<cache::BlobStore>(Dir, ".spg", "cache");
   return *this;
 }
 
 Session &Session::enableShardCache(const std::string &Dir) {
   assert(!GraphReady && "enableShardCache must precede buildGraph");
-  SCache = std::make_unique<cache::ShardCache>(Dir);
+  SCache = std::make_unique<cache::BlobStore>(Dir, ".scs", "shard");
   return *this;
 }
 
@@ -166,7 +169,7 @@ Session &Session::buildGraph() {
         try {
           if (fault::enabled())
             fault::maybeThrow(fault::Point::CacheRead, I);
-          FromCache = Cache->load(Key);
+          FromCache = Cache->load(Key, propgraph::decodeGraph);
         } catch (const std::exception &E) {
           std::lock_guard<std::mutex> Lock(HealthMutex);
           Health.CacheIncidents.push_back(
@@ -185,7 +188,7 @@ Session &Session::buildGraph() {
           try {
             if (fault::enabled())
               fault::maybeThrow(fault::Point::CacheWrite, I);
-            Cache->store(Key, PerProject[I]);
+            Cache->store(Key, propgraph::encodeGraph(PerProject[I]));
           } catch (const std::exception &E) {
             std::lock_guard<std::mutex> Lock(HealthMutex);
             Health.CacheIncidents.push_back(
@@ -385,7 +388,7 @@ Session::composeFromShards(const spec::SeedSpec &Seed, ThreadPool *P) {
         cache::projectShardKey(Slice.GraphKey, Opts.Gen, Seed);
     std::optional<constraints::ConstraintShard> FromCache;
     try {
-      FromCache = SCache->load(Key);
+      FromCache = SCache->load(Key, constraints::decodeShard);
     } catch (const std::exception &E) {
       std::lock_guard<std::mutex> Lock(HealthMutex);
       Health.CacheIncidents.push_back(
@@ -402,7 +405,7 @@ Session::composeFromShards(const spec::SeedSpec &Seed, ThreadPool *P) {
                                             Slice.FileEnd, Slice.EventBegin,
                                             Slice.EventEnd);
       try {
-        if (SCache->store(Key, Shards[I]))
+        if (SCache->store(Key, constraints::encodeShard(Shards[I])))
           Stored[I] = 1;
       } catch (const std::exception &E) {
         std::lock_guard<std::mutex> Lock(HealthMutex);

@@ -29,8 +29,7 @@
 #ifndef SELDON_INFER_PIPELINE_H
 #define SELDON_INFER_PIPELINE_H
 
-#include "cache/GraphCache.h"
-#include "cache/ShardCache.h"
+#include "cache/BlobStore.h"
 #include "constraints/ConstraintGen.h"
 #include "constraints/Feedback.h"
 #include "infer/RunHealth.h"
@@ -253,11 +252,12 @@ public:
   /// whose entry hits are adopted without re-parsing; misses build via the
   /// normal (parallel) path and write back. An unusable directory degrades
   /// to all-miss operation rather than failing the pipeline; check
-  /// graphCache()->valid() to surface that. See cache/GraphCache.h.
+  /// graphCache()->valid() to surface that. Entries are "<key>.spg" in
+  /// \p Dir, metrics "cache.*"; see cache/BlobStore.h.
   Session &enableCache(const std::string &Dir);
 
   /// The enabled cache, or null. Valid for the Session's lifetime.
-  const cache::GraphCache *graphCache() const { return Cache.get(); }
+  const cache::BlobStore *graphCache() const { return Cache.get(); }
 
   /// Enables the persistent constraint-shard cache rooted at \p Dir
   /// (created if missing). Must be called before buildGraph(). With it,
@@ -268,10 +268,11 @@ public:
   /// projects, or when CollapseForLearning is set — vertex contraction
   /// crosses project boundaries, so the system is not per-project
   /// composable. An unusable directory degrades to all-miss operation.
+  /// Entries are "<key>.scs" in \p Dir, metrics "shard.*".
   Session &enableShardCache(const std::string &Dir);
 
   /// The enabled shard cache, or null. Valid for the Session's lifetime.
-  const cache::ShardCache *shardCache() const { return SCache.get(); }
+  const cache::BlobStore *shardCache() const { return SCache.get(); }
 
   /// Delta statistics of the most recent generateConstraints() (all zero
   /// without a shard cache; WarmStarted is filled in by solve()).
@@ -354,8 +355,8 @@ private:
   PipelineOptions Opts;
   ProgressObserver *Observer = nullptr;
   std::vector<const pysem::Project *> Projects;
-  std::unique_ptr<cache::GraphCache> Cache;
-  std::unique_ptr<cache::ShardCache> SCache;
+  std::unique_ptr<cache::BlobStore> Cache;
+  std::unique_ptr<cache::BlobStore> SCache;
   RunHealth Health;
   Deadline RunDeadline;
 

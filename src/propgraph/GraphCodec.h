@@ -7,9 +7,10 @@
 ///
 /// \file
 /// A compact, versioned, checksummed binary serialization of propagation
-/// graphs — the persistence format behind cache::GraphCache. The frontend
-/// of §5 is deterministic per project, so a once-built graph can be stored
-/// and adopted by later runs without re-parsing.
+/// graphs — the persistence format of the graph cache's cache::BlobStore
+/// entries. The frontend of §5 is deterministic per project, so a
+/// once-built graph can be stored and adopted by later runs without
+/// re-parsing.
 ///
 /// Layout (all integers varint-encoded unless noted):
 ///

@@ -2,6 +2,7 @@
 
 #include "pysem/ProjectLoader.h"
 
+#include "support/FileIO.h"
 #include "support/Metrics.h"
 #include "support/StrUtil.h"
 #include "support/ThreadPool.h"
@@ -9,24 +10,11 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 
 namespace fs = std::filesystem;
 
 using namespace seldon;
 using namespace seldon::pysem;
-
-std::optional<std::string> seldon::pysem::readFile(const std::string &Path) {
-  std::ifstream In(Path, std::ios::binary);
-  if (!In)
-    return std::nullopt;
-  std::ostringstream Buffer;
-  Buffer << In.rdbuf();
-  if (In.bad())
-    return std::nullopt;
-  return Buffer.str();
-}
 
 std::optional<Project>
 seldon::pysem::loadProjectFromDir(const std::string &RootDir,
@@ -81,7 +69,7 @@ seldon::pysem::loadProjectFromDir(const std::string &RootDir,
       Reg.enabled() ? &Reg.counter("parse.files") : nullptr;
   for (const fs::path &File : Files) {
     Timer FileClock;
-    std::optional<std::string> Source = readFile(File.string());
+    std::optional<std::string> Source = readWholeFile(File.string());
     if (!Source) {
       if (ErrorsOut)
         ErrorsOut->push_back("failed to read " + File.string());

@@ -98,7 +98,7 @@ public:
     /// Persistent constraint-shard cache directory (empty = no shard
     /// cache). With it, a `learn` request with "reload" re-generates
     /// constraints only for projects whose sources changed; everything
-    /// else replays its cached shard. See cache/ShardCache.h.
+    /// else replays its cached shard. See cache/BlobStore.h.
     std::string ShardCacheDir;
     /// Solver iterations for the initial solve and the `learn` default.
     int Iterations = 600;

@@ -2,20 +2,18 @@
 
 #include "service/StateStore.h"
 
-#include "cache/GraphCache.h"
 #include "support/FaultInjection.h"
+#include "support/FileIO.h"
 #include "support/Metrics.h"
 #include "support/StrUtil.h"
 #include "support/Timer.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
+#include <optional>
 #include <set>
-#include <sstream>
 #include <system_error>
 
 #include <fcntl.h>
@@ -45,20 +43,6 @@ bool writeAll(int Fd, const char *Bytes, size_t Len, std::string &Error) {
     }
     Off += static_cast<size_t>(N);
   }
-  return true;
-}
-
-/// Reads a whole file; false (with \p Error) when it cannot be read.
-bool readFile(const std::string &Path, std::string &Out,
-              std::string &Error) {
-  std::ifstream In(Path, std::ios::binary);
-  if (!In) {
-    Error = formatString("cannot open %s", Path.c_str());
-    return false;
-  }
-  std::ostringstream Buf;
-  Buf << In.rdbuf();
-  Out = Buf.str();
   return true;
 }
 
@@ -94,17 +78,16 @@ StateStore::StateStore(std::string Dir) : Dir(std::move(Dir)) {
   // A publish that crashed between its temp write and the rename leaks
   // "<file>.tmp<seq>"; the same age-guarded digits-only rule the caches
   // use keeps a concurrent writer's in-flight temp alive.
-  Stats.StaleTempsRemoved =
-      cache::sweepStaleTemps(this->Dir, SnapshotSuffix) +
-      cache::sweepStaleTemps(this->Dir, JournalSuffix);
+  Stats.StaleTempsRemoved = sweepStaleTemps(this->Dir, SnapshotSuffix) +
+                            sweepStaleTemps(this->Dir, JournalSuffix);
 
   std::string Error;
   if (!fs::exists(journalPath(), Ec)) {
     // A fresh journal is published whole (header via temp + rename), so
     // scanJournal() can treat a short header as corruption, never a torn
     // append.
-    if (!publishFile(journalPath(), journalHeader(), /*ArmCrash=*/false,
-                     0, Error)) {
+    if (!publishFile(journalPath(), journalHeader(), std::nullopt, 0,
+                     Error)) {
       DirError = formatString("cannot create journal: %s", Error.c_str());
       return;
     }
@@ -154,13 +137,10 @@ void StateStore::fsyncDir() {
 }
 
 bool StateStore::publishFile(const std::string &Path,
-                             const std::string &Bytes, bool ArmCrash,
+                             const std::string &Bytes,
+                             std::optional<fault::Point> CrashAt,
                              uint64_t CrashSeq, std::string &Error) {
-  static std::atomic<uint64_t> PublishSeq{0};
-  std::string Temp = formatString(
-      "%s.tmp%llu", Path.c_str(),
-      static_cast<unsigned long long>(
-          PublishSeq.fetch_add(1, std::memory_order_relaxed)));
+  std::string Temp = uniqueTempPath(Path);
   int Fd = ::open(Temp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (Fd < 0) {
     Error = formatString("cannot create %s: %s", Temp.c_str(),
@@ -181,8 +161,8 @@ bool StateStore::publishFile(const std::string &Path,
     return false;
   }
   ++Stats.Fsyncs;
-  if (ArmCrash)
-    fault::maybeCrash(fault::Point::SnapshotWrite, CrashSeq);
+  if (CrashAt)
+    fault::maybeCrash(*CrashAt, CrashSeq);
   if (::rename(Temp.c_str(), Path.c_str()) != 0) {
     Error = formatString("cannot rename %s to %s: %s", Temp.c_str(),
                          Path.c_str(), std::strerror(errno));
@@ -242,7 +222,7 @@ bool StateStore::writeSnapshot(const StateSnapshot &Snapshot,
   }
   std::string Bytes = encodeSnapshot(Snapshot);
   if (!publishFile(snapshotPath(Snapshot.LastSeq), Bytes,
-                   /*ArmCrash=*/true, Snapshot.LastSeq, Error))
+                   fault::Point::SnapshotWrite, Snapshot.LastSeq, Error))
     return false;
   ++Stats.Snapshots;
   Stats.SnapshotBytes += Bytes.size();
@@ -266,44 +246,8 @@ bool StateStore::writeSnapshot(const StateSnapshot &Snapshot,
   // skips them, so compaction is crash-safe at every instant.
   closeJournal();
   std::string ResetError;
-  bool Reset = [&]() {
-    static std::atomic<uint64_t> ResetSeq{0};
-    std::string Temp = formatString(
-        "%s.tmp%llu", journalPath().c_str(),
-        static_cast<unsigned long long>(
-            ResetSeq.fetch_add(1, std::memory_order_relaxed)));
-    int Fd = ::open(Temp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-    if (Fd < 0) {
-      ResetError = formatString("cannot create %s: %s", Temp.c_str(),
-                                std::strerror(errno));
-      return false;
-    }
-    std::string Header = journalHeader();
-    std::string WriteError;
-    bool Ok = writeAll(Fd, Header.data(), Header.size(), WriteError);
-    if (Ok && ::fsync(Fd) != 0) {
-      WriteError = std::strerror(errno);
-      Ok = false;
-    }
-    ::close(Fd);
-    if (!Ok) {
-      ::unlink(Temp.c_str());
-      ResetError = formatString("cannot write %s: %s", Temp.c_str(),
-                                WriteError.c_str());
-      return false;
-    }
-    ++Stats.Fsyncs;
-    fault::maybeCrash(fault::Point::JournalReset, Snapshot.LastSeq);
-    if (::rename(Temp.c_str(), journalPath().c_str()) != 0) {
-      ResetError = formatString("cannot rename %s: %s", Temp.c_str(),
-                                std::strerror(errno));
-      ::unlink(Temp.c_str());
-      return false;
-    }
-    fsyncDir();
-    return true;
-  }();
-  if (!Reset) {
+  if (!publishFile(journalPath(), journalHeader(), fault::Point::JournalReset,
+                   Snapshot.LastSeq, ResetError)) {
     Error = formatString("journal compaction failed: %s",
                          ResetError.c_str());
     // The old journal is still valid; reopen and keep appending to it.
@@ -344,15 +288,14 @@ io::IOResult<RecoveredState> StateStore::recover() {
   std::sort(Snapshots.begin(), Snapshots.end(),
             [](const auto &A, const auto &B) { return A.first > B.first; });
   for (const auto &[Seq, Path] : Snapshots) {
-    std::string Bytes, ReadError;
-    if (!readFile(Path, Bytes, ReadError)) {
-      Stats.Errors.push_back(formatString("snapshot %llu: %s",
-                                          static_cast<unsigned long long>(
-                                              Seq),
-                                          ReadError.c_str()));
+    std::optional<std::string> Bytes = readWholeFile(Path);
+    if (!Bytes) {
+      Stats.Errors.push_back(formatString(
+          "snapshot %llu: cannot read %s",
+          static_cast<unsigned long long>(Seq), Path.c_str()));
       continue;
     }
-    io::IOResult<StateSnapshot> Decoded = decodeSnapshot(Bytes);
+    io::IOResult<StateSnapshot> Decoded = decodeSnapshot(*Bytes);
     if (!Decoded) {
       Stats.Errors.push_back(formatString(
           "evicted snapshot %llu: %s",
@@ -371,11 +314,10 @@ io::IOResult<RecoveredState> StateStore::recover() {
   // corruption: evict the whole journal — the snapshot still restores
   // everything it covers, and starting a fresh journal beats trusting
   // bytes that failed their checksum.
-  std::string Bytes, ReadError;
-  if (!readFile(journalPath(), Bytes, ReadError))
-    return Result::failure(
-        formatString("cannot read journal: %s", ReadError.c_str()));
-  io::IOResult<JournalScan> Scan = scanJournal(Bytes);
+  std::optional<std::string> Bytes = readWholeFile(journalPath());
+  if (!Bytes)
+    return Result::failure("cannot read journal " + journalPath());
+  io::IOResult<JournalScan> Scan = scanJournal(*Bytes);
   std::vector<JournalRecord> Records;
   if (!Scan) {
     Stats.Errors.push_back(
@@ -383,15 +325,15 @@ io::IOResult<RecoveredState> StateStore::recover() {
     ++Stats.EvictedJournals;
     closeJournal();
     std::string Error;
-    if (!publishFile(journalPath(), journalHeader(), /*ArmCrash=*/false,
-                     0, Error) ||
+    if (!publishFile(journalPath(), journalHeader(), std::nullopt, 0,
+                     Error) ||
         !openJournal(Error))
       return Result::failure(
           formatString("cannot rebuild journal: %s", Error.c_str()));
   } else {
     Records = std::move(Scan.Value.Records);
     if (Scan.Value.Torn) {
-      uint64_t Dropped = Bytes.size() - Scan.Value.ValidBytes;
+      uint64_t Dropped = Bytes->size() - Scan.Value.ValidBytes;
       Stats.TruncatedTailBytes += Dropped;
       Stats.Errors.push_back(formatString(
           "truncated torn journal tail: dropped %llu byte(s), kept %zu "

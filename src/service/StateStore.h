@@ -45,9 +45,11 @@
 #define SELDON_SERVICE_STATESTORE_H
 
 #include "service/StateCodec.h"
+#include "support/FaultInjection.h"
 #include "support/IOResult.h"
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -130,11 +132,13 @@ public:
 private:
   bool openJournal(std::string &Error);
   void closeJournal();
-  /// Publishes \p Bytes at \p Path via "<Path>.tmp<seq>" + fsync +
-  /// rename + directory fsync. \p CrashSeq keys the snapshot-write crash
-  /// point when \p ArmCrash is set.
+  /// Publishes \p Bytes at \p Path via a unique temp (support/FileIO.h)
+  /// + fsync + rename + directory fsync. When \p CrashAt is set, that
+  /// crash point, keyed by \p CrashSeq, fires between the temp's fsync
+  /// and the rename.
   bool publishFile(const std::string &Path, const std::string &Bytes,
-                   bool ArmCrash, uint64_t CrashSeq, std::string &Error);
+                   std::optional<fault::Point> CrashAt, uint64_t CrashSeq,
+                   std::string &Error);
   void fsyncDir();
 
   std::string Dir;

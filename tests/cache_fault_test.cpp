@@ -2,19 +2,23 @@
 //
 // Fault injection against the cache loader: every truncation point and a
 // bit flip in every region of a valid entry must produce a descriptive
-// error, never a partially-populated graph; GraphCache must evict the bad
-// entry and the pipeline must transparently rebuild it with byte-identical
-// output.
+// error, never a partially-populated graph; the graph store must evict the
+// bad entry and the pipeline must transparently rebuild it with
+// byte-identical output. Graph and shard stores sharing a directory keep
+// to their own entries and metrics.
 //
 //===----------------------------------------------------------------------===//
 
 #include "TestCorpus.h"
 
-#include "cache/GraphCache.h"
-#include "cache/ShardCache.h"
+#include "cache/BlobStore.h"
+#include "cache/ProjectKeys.h"
+#include "constraints/ShardCodec.h"
 #include "infer/Pipeline.h"
 #include "propgraph/GraphCodec.h"
 #include "spec/SpecIO.h"
+#include "support/FileIO.h"
+#include "support/Metrics.h"
 
 #include <gtest/gtest.h>
 
@@ -24,6 +28,9 @@
 
 using namespace seldon;
 using namespace seldon::propgraph;
+using constraints::ConstraintShard;
+using constraints::decodeShard;
+using constraints::encodeShard;
 
 namespace fs = std::filesystem;
 
@@ -103,9 +110,9 @@ struct Region {
 TEST(CacheFaultTest, FlippedRegionsAreEvictedThenRebuilt) {
   Fixture F;
   std::string Dir = testutil::makeScratchDir("cache-fault");
-  cache::GraphCache Cache(Dir);
+  cache::BlobStore Cache(Dir, ".spg", "cache");
   ASSERT_TRUE(Cache.valid()) << Cache.error();
-  ASSERT_TRUE(Cache.store(F.Key, F.Graph));
+  ASSERT_TRUE(Cache.store(F.Key, encodeGraph(F.Graph)));
   std::string Path = Cache.entryPath(F.Key);
   std::string Valid = readFileBytes(Path);
   ASSERT_GT(Valid.size(), 32u);
@@ -130,9 +137,10 @@ TEST(CacheFaultTest, FlippedRegionsAreEvictedThenRebuilt) {
     Mutated[R.Offset] = static_cast<char>(Mutated[R.Offset] ^ 0xff);
     writeFileBytes(Path, Mutated);
 
-    cache::GraphCache Fresh(Dir);
+    cache::BlobStore Fresh(Dir, ".spg", "cache");
     uint64_t EvictionsBefore = Fresh.stats().Evictions;
-    std::optional<PropagationGraph> Loaded = Fresh.load(F.Key);
+    std::optional<PropagationGraph> Loaded =
+        Fresh.load(F.Key, decodeGraph);
     EXPECT_FALSE(Loaded.has_value())
         << "corrupt " << R.Name << " entry loaded successfully";
     cache::CacheStats Stats = Fresh.stats();
@@ -146,8 +154,9 @@ TEST(CacheFaultTest, FlippedRegionsAreEvictedThenRebuilt) {
         << R.Name << " entry survived eviction";
 
     // ...and a rebuild + re-store round-trips to a loadable entry again.
-    ASSERT_TRUE(Fresh.store(F.Key, F.Graph)) << R.Name;
-    std::optional<PropagationGraph> Reloaded = Fresh.load(F.Key);
+    ASSERT_TRUE(Fresh.store(F.Key, encodeGraph(F.Graph))) << R.Name;
+    std::optional<PropagationGraph> Reloaded =
+        Fresh.load(F.Key, decodeGraph);
     ASSERT_TRUE(Reloaded.has_value()) << R.Name;
     EXPECT_EQ(Reloaded->numEvents(), F.Graph.numEvents());
     EXPECT_EQ(Reloaded->numEdges(), F.Graph.numEdges());
@@ -159,9 +168,9 @@ TEST(CacheFaultTest, FlippedRegionsAreEvictedThenRebuilt) {
 TEST(CacheFaultTest, EveryTruncationOfAnEntryIsEvicted) {
   Fixture F;
   std::string Dir = testutil::makeScratchDir("cache-trunc");
-  cache::GraphCache Cache(Dir);
+  cache::BlobStore Cache(Dir, ".spg", "cache");
   ASSERT_TRUE(Cache.valid()) << Cache.error();
-  ASSERT_TRUE(Cache.store(F.Key, F.Graph));
+  ASSERT_TRUE(Cache.store(F.Key, encodeGraph(F.Graph)));
   std::string Path = Cache.entryPath(F.Key);
   std::string Valid = readFileBytes(Path);
 
@@ -169,7 +178,8 @@ TEST(CacheFaultTest, EveryTruncationOfAnEntryIsEvicted) {
   // boundary; the codec-level test above covers every single byte.
   for (size_t Len = 0; Len < Valid.size(); Len += 7) {
     writeFileBytes(Path, Valid.substr(0, Len));
-    std::optional<PropagationGraph> Loaded = Cache.load(F.Key);
+    std::optional<PropagationGraph> Loaded =
+        Cache.load(F.Key, decodeGraph);
     EXPECT_FALSE(Loaded.has_value())
         << "entry truncated to " << Len << " byte(s) loaded";
     EXPECT_FALSE(fs::exists(Path)) << "truncated entry not evicted";
@@ -184,15 +194,15 @@ TEST(CacheFaultTest, EveryTruncationOfAnEntryIsEvicted) {
 TEST(CacheFaultTest, WrongKeyEntryIsRejected) {
   Fixture F;
   std::string Dir = testutil::makeScratchDir("cache-wrongkey");
-  cache::GraphCache Cache(Dir);
-  ASSERT_TRUE(Cache.store(F.Key, F.Graph));
+  cache::BlobStore Cache(Dir, ".spg", "cache");
+  ASSERT_TRUE(Cache.store(F.Key, encodeGraph(F.Graph)));
 
   // Copy the valid entry under a different key's filename: the stored key
   // prefix no longer matches the lookup key.
   cache::CacheKey Other;
   Other.Hash = F.Key.Hash + 1;
   fs::copy_file(Cache.entryPath(F.Key), Cache.entryPath(Other));
-  EXPECT_FALSE(Cache.load(Other).has_value());
+  EXPECT_FALSE(Cache.load(Other, decodeGraph).has_value());
   cache::CacheStats Stats = Cache.stats();
   ASSERT_FALSE(Stats.Errors.empty());
   EXPECT_NE(Stats.Errors.back().find("key mismatch"), std::string::npos)
@@ -275,9 +285,9 @@ TEST(CacheFaultTest, StaleStoreTempsAreSweptOnOpen) {
   std::string Dir = testutil::makeScratchDir("cache-tmp-sweep");
   std::string Entry;
   {
-    cache::GraphCache Cache(Dir);
+    cache::BlobStore Cache(Dir, ".spg", "cache");
     ASSERT_TRUE(Cache.valid()) << Cache.error();
-    ASSERT_TRUE(Cache.store(F.Key, F.Graph));
+    ASSERT_TRUE(Cache.store(F.Key, encodeGraph(F.Graph)));
     Entry = Cache.entryPath(F.Key);
   }
   // Plant: an hour-old temp (a crashed store), a fresh temp (a live
@@ -292,21 +302,21 @@ TEST(CacheFaultTest, StaleStoreTempsAreSweptOnOpen) {
   fs::last_write_time(OldTmp, fs::file_time_type::clock::now() -
                                   std::chrono::hours(1));
 
-  cache::GraphCache Reopened(Dir);
+  cache::BlobStore Reopened(Dir, ".spg", "cache");
   ASSERT_TRUE(Reopened.valid()) << Reopened.error();
   EXPECT_EQ(Reopened.stats().StaleTempsRemoved, 1u);
   EXPECT_FALSE(fs::exists(OldTmp)) << "aged temp must be swept";
   EXPECT_TRUE(fs::exists(FreshTmp)) << "recent temp may be a live writer";
   EXPECT_TRUE(fs::exists(Lookalike)) << "non-numeric suffix is not a temp";
   // The published entry is untouched and still loads.
-  EXPECT_TRUE(Reopened.load(F.Key).has_value());
+  EXPECT_TRUE(Reopened.load(F.Key, decodeGraph).has_value());
   fs::remove_all(Dir);
 }
 
 TEST(CacheFaultTest, ShardCacheSweepsItsOwnTemps) {
   std::string Dir = testutil::makeScratchDir("shard-tmp-sweep");
   std::string OldTmp = Dir + "/0123456789abcdef.scs.tmp3";
-  // A GraphCache temp in the same directory belongs to a different
+  // A graph store temp in the same directory belongs to a different
   // suffix and must not match the shard sweep.
   std::string OtherSuffix = Dir + "/0123456789abcdef.spg.tmp4";
   writeFileBytes(OldTmp, "half-written");
@@ -315,7 +325,7 @@ TEST(CacheFaultTest, ShardCacheSweepsItsOwnTemps) {
   fs::last_write_time(OldTmp, Old);
   fs::last_write_time(OtherSuffix, Old);
 
-  cache::ShardCache Cache(Dir);
+  cache::BlobStore Cache(Dir, ".scs", "shard");
   ASSERT_TRUE(Cache.valid()) << Cache.error();
   EXPECT_EQ(Cache.stats().StaleTempsRemoved, 1u);
   EXPECT_FALSE(fs::exists(OldTmp));
@@ -323,12 +333,124 @@ TEST(CacheFaultTest, ShardCacheSweepsItsOwnTemps) {
   fs::remove_all(Dir);
 }
 
+//===----------------------------------------------------------------------===//
+// One directory, two stores: entries, evictions and metrics stay apart
+//===----------------------------------------------------------------------===//
+
+/// A graph and its first project's shard, stored under the *same* key in
+/// a graph store and a shard store that share one directory — only the
+/// suffix tells the two entries apart.
+struct SharedDir {
+  Fixture F;
+  ConstraintShard Shard = constraints::extractShard(
+      F.Graph, 0, static_cast<uint32_t>(F.Graph.files().size()), 0,
+      static_cast<EventId>(F.Graph.numEvents()));
+  std::string Dir;
+  cache::BlobStore Graphs, Shards;
+
+  explicit SharedDir(const std::string &Name)
+      : Dir(testutil::makeScratchDir(Name)), Graphs(Dir, ".spg", "cache"),
+        Shards(Dir, ".scs", "shard") {}
+  ~SharedDir() { fs::remove_all(Dir); }
+
+  void storeBoth() {
+    ASSERT_TRUE(Graphs.store(F.Key, encodeGraph(F.Graph)));
+    ASSERT_TRUE(Shards.store(F.Key, encodeShard(Shard)));
+  }
+  void corrupt(const std::string &Path) {
+    std::string Bytes = readFileBytes(Path);
+    Bytes[Bytes.size() / 2] =
+        static_cast<char>(Bytes[Bytes.size() / 2] ^ 0xff);
+    writeFileBytes(Path, Bytes);
+  }
+};
+
+TEST(CacheFaultTest, GraphAndShardStoresShareADirectory) {
+  SharedDir D("shared-dir");
+  D.storeBoth();
+  EXPECT_NE(D.Graphs.entryPath(D.F.Key), D.Shards.entryPath(D.F.Key));
+
+  // Each store loads its own entry through its own codec.
+  std::optional<PropagationGraph> G = D.Graphs.load(D.F.Key, decodeGraph);
+  ASSERT_TRUE(G.has_value());
+  EXPECT_EQ(G->numEvents(), D.F.Graph.numEvents());
+  std::optional<ConstraintShard> S = D.Shards.load(D.F.Key, decodeShard);
+  ASSERT_TRUE(S.has_value());
+  EXPECT_EQ(S->numAnchors(), D.Shard.numAnchors());
+
+  // A corrupt shard is evicted by the shard store and leaves the graph
+  // entry alone...
+  D.corrupt(D.Shards.entryPath(D.F.Key));
+  EXPECT_FALSE(D.Shards.load(D.F.Key, decodeShard).has_value());
+  EXPECT_FALSE(fs::exists(D.Shards.entryPath(D.F.Key)));
+  EXPECT_TRUE(D.Graphs.load(D.F.Key, decodeGraph).has_value());
+  EXPECT_EQ(D.Graphs.stats().Evictions, 0u);
+
+  // ...and the reverse.
+  D.storeBoth();
+  D.corrupt(D.Graphs.entryPath(D.F.Key));
+  EXPECT_FALSE(D.Graphs.load(D.F.Key, decodeGraph).has_value());
+  EXPECT_FALSE(fs::exists(D.Graphs.entryPath(D.F.Key)));
+  EXPECT_TRUE(D.Shards.load(D.F.Key, decodeShard).has_value());
+  EXPECT_EQ(D.Shards.stats().Evictions, 1u);
+  EXPECT_EQ(D.Graphs.stats().Evictions, 1u);
+}
+
+TEST(CacheFaultTest, EachStoreRecordsOnlyItsOwnMetrics) {
+  SharedDir D("shared-metrics");
+  const char *Names[] = {"hits",   "misses",     "evictions",
+                         "stores", "bytes_read", "bytes_written"};
+  metrics::Registry &Reg = metrics::Registry::global();
+  auto snapshot = [&](const std::string &Prefix) {
+    std::vector<uint64_t> Values;
+    for (const char *Name : Names)
+      Values.push_back(Reg.counter(Prefix + "." + Name).value());
+    Values.push_back(Reg.timer(Prefix + ".load_seconds").count());
+    Values.push_back(Reg.timer(Prefix + ".store_seconds").count());
+    return Values;
+  };
+  Reg.setEnabled(true);
+
+  // Graph traffic: a miss, a store, a hit, an eviction.
+  std::vector<uint64_t> Shard0 = snapshot("shard");
+  std::vector<uint64_t> Graph0 = snapshot("cache");
+  EXPECT_FALSE(D.Graphs.load(D.F.Key, decodeGraph).has_value());
+  ASSERT_TRUE(D.Graphs.store(D.F.Key, encodeGraph(D.F.Graph)));
+  EXPECT_TRUE(D.Graphs.load(D.F.Key, decodeGraph).has_value());
+  D.corrupt(D.Graphs.entryPath(D.F.Key));
+  EXPECT_FALSE(D.Graphs.load(D.F.Key, decodeGraph).has_value());
+  EXPECT_EQ(snapshot("shard"), Shard0) << "graph traffic moved shard.*";
+  std::vector<uint64_t> Graph1 = snapshot("cache");
+  uint64_t EntryBytes = 8 + encodeGraph(D.F.Graph).size();
+  std::vector<uint64_t> GraphDelta;
+  for (size_t I = 0; I < Graph1.size(); ++I)
+    GraphDelta.push_back(Graph1[I] - Graph0[I]);
+  EXPECT_EQ(GraphDelta, (std::vector<uint64_t>{1, 2, 1, 1, EntryBytes,
+                                               EntryBytes, 1, 1}));
+
+  // Shard traffic: the same sequence moves only shard.*.
+  EXPECT_FALSE(D.Shards.load(D.F.Key, decodeShard).has_value());
+  ASSERT_TRUE(D.Shards.store(D.F.Key, encodeShard(D.Shard)));
+  EXPECT_TRUE(D.Shards.load(D.F.Key, decodeShard).has_value());
+  D.corrupt(D.Shards.entryPath(D.F.Key));
+  EXPECT_FALSE(D.Shards.load(D.F.Key, decodeShard).has_value());
+  EXPECT_EQ(snapshot("cache"), Graph1) << "shard traffic moved cache.*";
+  std::vector<uint64_t> Shard1 = snapshot("shard");
+  EntryBytes = 8 + encodeShard(D.Shard).size();
+  std::vector<uint64_t> ShardDelta;
+  for (size_t I = 0; I < Shard1.size(); ++I)
+    ShardDelta.push_back(Shard1[I] - Shard0[I]);
+  EXPECT_EQ(ShardDelta, (std::vector<uint64_t>{1, 2, 1, 1, EntryBytes,
+                                               EntryBytes, 1, 1}));
+  Reg.setEnabled(false);
+}
+
 TEST(CacheFaultTest, SweepHonorsAgeThreshold) {
   std::string Dir = testutil::makeScratchDir("sweep-age");
   std::string Tmp = Dir + "/aa.spg.tmp0";
   writeFileBytes(Tmp, "x");
   // Age 0 disables the live-writer grace period: even a fresh temp goes.
-  EXPECT_EQ(cache::sweepStaleTemps(Dir, ".spg", /*MaxAgeSeconds=*/0), 1u);
+  EXPECT_EQ(sweepStaleTemps(Dir, ".spg", /*MaxAgeSeconds=*/0), 1u);
   EXPECT_FALSE(fs::exists(Tmp));
   fs::remove_all(Dir);
 }

@@ -10,6 +10,7 @@
 
 #include "TestCorpus.h"
 
+#include "cache/ProjectKeys.h"
 #include "infer/Pipeline.h"
 #include "spec/SpecIO.h"
 

@@ -302,6 +302,21 @@ TEST_F(CliTest, MetricsOutUnwritablePathFails) {
       << R.Output;
 }
 
+TEST_F(CliTest, OutputWriteFailureFails) {
+  // /dev/full opens fine and fails every write: a short --out payload
+  // sits in the stream buffer until the flush, which must be checked.
+  if (!fs::exists("/dev/full"))
+    GTEST_SKIP() << "/dev/full is not available";
+  CommandResult R = runCli("stats --out /dev/full " + repo());
+  EXPECT_NE(R.ExitCode, 0) << R.Output;
+  EXPECT_NE(R.Output.find("error:"), std::string::npos) << R.Output;
+  EXPECT_EQ(R.Output.find("wrote"), std::string::npos) << R.Output;
+  // Without --out the payload goes to stdout, which is checked the same
+  // way (stderr follows stdout into /dev/full here, so only the exit code
+  // is observable).
+  EXPECT_NE(runCli("stats " + repo() + " >/dev/full").ExitCode, 0);
+}
+
 TEST_F(CliTest, CustomSeedFile) {
   write("custom.seed", "o: flask.request.args.get()\n");
   // Without a sink in the seed there is nothing to report.

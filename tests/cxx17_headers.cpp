@@ -9,6 +9,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "cache/BlobStore.h"
 #include "corpus/CorpusGenerator.h"
 #include "infer/Pipeline.h"
 #include "propgraph/GraphBuilder.h"

@@ -1,6 +1,7 @@
 //===- tests/projectloader_test.cpp - Tests for filesystem loading --------===//
 
 #include "pysem/ProjectLoader.h"
+#include "support/FileIO.h"
 
 #include <gtest/gtest.h>
 
@@ -150,10 +151,10 @@ TEST(ProjectLoaderTest, SymlinkedFileKeepsTheLinksPath) {
 TEST(ReadFileTest, ReadsAndFails) {
   TempTree Tree;
   Tree.write("data.txt", "hello\nworld\n");
-  auto Content = readFile(Tree.path() + "/data.txt");
+  auto Content = readWholeFile(Tree.path() + "/data.txt");
   ASSERT_TRUE(Content.has_value());
   EXPECT_EQ(*Content, "hello\nworld\n");
-  EXPECT_FALSE(readFile(Tree.path() + "/missing.txt").has_value());
+  EXPECT_FALSE(readWholeFile(Tree.path() + "/missing.txt").has_value());
 }
 
 } // namespace

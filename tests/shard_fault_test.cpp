@@ -2,8 +2,8 @@
 //
 // Fault injection against the shard codec and cache: every truncation
 // point and a bit flip in every byte of a valid encoding must produce a
-// descriptive error, never a partially-populated shard; ShardCache must
-// evict the bad entry; and a Session run over a corrupted shard store must
+// descriptive error, never a partially-populated shard; the shard store
+// must evict the bad entry; and a Session run over a corrupted store must
 // transparently re-extract with byte-identical output. Mirrors
 // cache_fault_test.cpp for the graph cache.
 //
@@ -11,7 +11,8 @@
 
 #include "TestCorpus.h"
 
-#include "cache/ShardCache.h"
+#include "cache/BlobStore.h"
+#include "cache/ProjectKeys.h"
 #include "constraints/ShardCodec.h"
 #include "infer/Pipeline.h"
 #include "spec/SpecIO.h"
@@ -116,9 +117,9 @@ struct Region {
 TEST(ShardCacheFaultTest, FlippedRegionsAreEvictedThenRestored) {
   Fixture F;
   std::string Dir = testutil::makeScratchDir("shard-fault");
-  cache::ShardCache Cache(Dir);
+  cache::BlobStore Cache(Dir, ".scs", "shard");
   ASSERT_TRUE(Cache.valid()) << Cache.error();
-  ASSERT_TRUE(Cache.store(F.Key, F.Shard));
+  ASSERT_TRUE(Cache.store(F.Key, encodeShard(F.Shard)));
   std::string Path = Cache.entryPath(F.Key);
   std::string Valid = readFileBytes(Path);
   ASSERT_GT(Valid.size(), 32u);
@@ -143,9 +144,10 @@ TEST(ShardCacheFaultTest, FlippedRegionsAreEvictedThenRestored) {
     Mutated[R.Offset] = static_cast<char>(Mutated[R.Offset] ^ 0xff);
     writeFileBytes(Path, Mutated);
 
-    cache::ShardCache Fresh(Dir);
+    cache::BlobStore Fresh(Dir, ".scs", "shard");
     uint64_t EvictionsBefore = Fresh.stats().Evictions;
-    std::optional<ConstraintShard> Loaded = Fresh.load(F.Key);
+    std::optional<ConstraintShard> Loaded =
+        Fresh.load(F.Key, decodeShard);
     EXPECT_FALSE(Loaded.has_value())
         << "corrupt " << R.Name << " entry loaded successfully";
     cache::CacheStats Stats = Fresh.stats();
@@ -157,8 +159,9 @@ TEST(ShardCacheFaultTest, FlippedRegionsAreEvictedThenRestored) {
     EXPECT_FALSE(fs::exists(Path)) << R.Name << " entry survived eviction";
 
     // Re-extraction + re-store round-trips to a loadable entry again.
-    ASSERT_TRUE(Fresh.store(F.Key, F.Shard)) << R.Name;
-    std::optional<ConstraintShard> Reloaded = Fresh.load(F.Key);
+    ASSERT_TRUE(Fresh.store(F.Key, encodeShard(F.Shard))) << R.Name;
+    std::optional<ConstraintShard> Reloaded =
+        Fresh.load(F.Key, decodeShard);
     ASSERT_TRUE(Reloaded.has_value()) << R.Name;
     EXPECT_EQ(Reloaded->numAnchors(), F.Shard.numAnchors());
     EXPECT_EQ(readFileBytes(Path), Valid) << R.Name;
@@ -169,9 +172,9 @@ TEST(ShardCacheFaultTest, FlippedRegionsAreEvictedThenRestored) {
 TEST(ShardCacheFaultTest, EveryTruncationOfAnEntryIsEvicted) {
   Fixture F;
   std::string Dir = testutil::makeScratchDir("shard-trunc");
-  cache::ShardCache Cache(Dir);
+  cache::BlobStore Cache(Dir, ".scs", "shard");
   ASSERT_TRUE(Cache.valid()) << Cache.error();
-  ASSERT_TRUE(Cache.store(F.Key, F.Shard));
+  ASSERT_TRUE(Cache.store(F.Key, encodeShard(F.Shard)));
   std::string Path = Cache.entryPath(F.Key);
   std::string Valid = readFileBytes(Path);
 
@@ -179,7 +182,8 @@ TEST(ShardCacheFaultTest, EveryTruncationOfAnEntryIsEvicted) {
   // boundary; the codec-level test above covers every single byte.
   for (size_t Len = 0; Len < Valid.size(); Len += 7) {
     writeFileBytes(Path, Valid.substr(0, Len));
-    std::optional<ConstraintShard> Loaded = Cache.load(F.Key);
+    std::optional<ConstraintShard> Loaded =
+        Cache.load(F.Key, decodeShard);
     EXPECT_FALSE(Loaded.has_value())
         << "entry truncated to " << Len << " byte(s) loaded";
     EXPECT_FALSE(fs::exists(Path)) << "truncated entry not evicted";
@@ -194,13 +198,13 @@ TEST(ShardCacheFaultTest, EveryTruncationOfAnEntryIsEvicted) {
 TEST(ShardCacheFaultTest, WrongKeyEntryIsRejected) {
   Fixture F;
   std::string Dir = testutil::makeScratchDir("shard-wrongkey");
-  cache::ShardCache Cache(Dir);
-  ASSERT_TRUE(Cache.store(F.Key, F.Shard));
+  cache::BlobStore Cache(Dir, ".scs", "shard");
+  ASSERT_TRUE(Cache.store(F.Key, encodeShard(F.Shard)));
 
   cache::CacheKey Other;
   Other.Hash = F.Key.Hash + 1;
   fs::copy_file(Cache.entryPath(F.Key), Cache.entryPath(Other));
-  EXPECT_FALSE(Cache.load(Other).has_value());
+  EXPECT_FALSE(Cache.load(Other, decodeShard).has_value());
   cache::CacheStats Stats = Cache.stats();
   ASSERT_FALSE(Stats.Errors.empty());
   EXPECT_NE(Stats.Errors.back().find("key mismatch"), std::string::npos)

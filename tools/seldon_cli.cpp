@@ -33,6 +33,7 @@
 
 #include "support/ArgParser.h"
 #include "support/FaultInjection.h"
+#include "support/FileIO.h"
 #include "support/Metrics.h"
 #include "support/StrUtil.h"
 #include "support/TablePrinter.h"
@@ -301,15 +302,16 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
 
 bool writeOutput(const CliOptions &Opts, const std::string &Content) {
   if (Opts.OutFile.empty()) {
-    std::fputs(Content.c_str(), stdout);
+    if (std::fputs(Content.c_str(), stdout) < 0 || std::fflush(stdout) != 0) {
+      std::fprintf(stderr, "error: write to stdout failed\n");
+      return false;
+    }
     return true;
   }
-  std::ofstream Out(Opts.OutFile);
-  if (!Out) {
-    std::fprintf(stderr, "error: cannot write %s\n", Opts.OutFile.c_str());
+  if (std::string Err = writeWholeFile(Opts.OutFile, Content); !Err.empty()) {
+    std::fprintf(stderr, "error: %s\n", Err.c_str());
     return false;
   }
-  Out << Content;
   std::fprintf(stderr, "wrote %s\n", Opts.OutFile.c_str());
   return true;
 }
@@ -544,13 +546,10 @@ int cmdLearn(const CliOptions &Opts) {
                  AR.TotalPinned,
                  AR.Converged ? "converged" : "budget exhausted");
     if (!Opts.OracleOut.empty()) {
-      std::ofstream Out(Opts.OracleOut,
-                        std::ios::binary | std::ios::trunc);
-      if (Out)
-        Out << active::writeOracleFile(AR.Transcript);
-      if (!Out) {
-        std::fprintf(stderr, "error: cannot write %s\n",
-                     Opts.OracleOut.c_str());
+      if (std::string Err = writeWholeFile(
+              Opts.OracleOut, active::writeOracleFile(AR.Transcript));
+          !Err.empty()) {
+        std::fprintf(stderr, "error: %s\n", Err.c_str());
         return 1;
       }
       std::fprintf(stderr, "wrote transcript to %s (%zu exchange(s))\n",
@@ -686,7 +685,7 @@ int cmdAnalyze(const CliOptions &Opts) {
       // Module paths are relative to their repository root; try each.
       for (const std::string &Dir : Opts.Paths) {
         if (std::optional<std::string> Text =
-                pysem::readFile(Dir + "/" + File)) {
+                readWholeFile(Dir + "/" + File)) {
           Lines = splitString(*Text, '\n');
           break;
         }
@@ -841,7 +840,7 @@ int cmdGraph(const CliOptions &Opts) {
     std::fprintf(stderr, "error: graph expects exactly one .py file\n");
     return 1;
   }
-  std::optional<std::string> Source = pysem::readFile(Opts.Paths[0]);
+  std::optional<std::string> Source = readWholeFile(Opts.Paths[0]);
   if (!Source) {
     std::fprintf(stderr, "error: cannot read %s\n", Opts.Paths[0].c_str());
     return 1;
@@ -876,12 +875,9 @@ bool emitMetrics(const CliOptions &Opts) {
   if (Opts.Metrics)
     std::fputs(Reg.renderText().c_str(), stderr);
   if (!Opts.MetricsOut.empty()) {
-    std::ofstream Out(Opts.MetricsOut, std::ios::binary | std::ios::trunc);
-    if (Out)
-      Out << Reg.toJson();
-    if (!Out) {
-      std::fprintf(stderr, "error: cannot write metrics to %s\n",
-                   Opts.MetricsOut.c_str());
+    if (std::string Err = writeWholeFile(Opts.MetricsOut, Reg.toJson());
+        !Err.empty()) {
+      std::fprintf(stderr, "error: cannot write metrics: %s\n", Err.c_str());
       return false;
     }
     std::fprintf(stderr, "wrote metrics to %s\n", Opts.MetricsOut.c_str());
@@ -902,10 +898,8 @@ int runCommand(const std::string &Command, const CliOptions &Opts) {
     return cmdDiff(Opts);
   if (Command == "stats")
     return cmdStats(Opts);
-  if (Command == "seed") {
-    std::fputs(spec::paperSeedSpecText(), stdout);
-    return 0;
-  }
+  if (Command == "seed")
+    return writeOutput(Opts, spec::paperSeedSpecText()) ? 0 : 1;
   if (Command == "--help" || Command == "-h" || Command == "help") {
     usage();
     return 0;
